@@ -1,8 +1,9 @@
 // Micro-benchmarks of the simulator substrate (google-benchmark).
 //
 // These do not reproduce paper results; they bound the cost of the
-// simulation machinery itself (events, RNG, TCP, the branching store, and a
-// full local checkpoint cycle) so regressions in the substrate are visible.
+// simulation machinery itself (events, RNG, TCP, the branching store, image
+// checksums, and a full local checkpoint cycle) so regressions in the
+// substrate are visible.
 
 #include <benchmark/benchmark.h>
 
@@ -12,6 +13,7 @@
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <vector>
 
 #include "src/checkpoint/local_checkpoint.h"
 #include "src/guest/node.h"
@@ -19,6 +21,8 @@
 #include "src/net/tcp.h"
 #include "src/net/timer_host.h"
 #include "src/net/wire.h"
+#include "src/repo/segment_file.h"
+#include "src/sim/image.h"
 #include "src/sim/random.h"
 #include "src/sim/simulator.h"
 #include "src/storage/branch_store.h"
@@ -198,6 +202,36 @@ void BM_BranchStoreWrite(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_BranchStoreWrite);
+
+// Checksum throughput over one buffer of state.range(0) bytes: the CRC-32
+// every image chunk, segment record and journal record carries, and the
+// repository's content key (FNV-1a plus the same CRC) that dedups payloads.
+std::vector<uint8_t> ChecksumInput(int64_t bytes) {
+  Rng rng(42);
+  std::vector<uint8_t> data(static_cast<size_t>(bytes));
+  for (uint8_t& b : data) {
+    b = static_cast<uint8_t>(rng.NextUint64());
+  }
+  return data;
+}
+
+void BM_Crc32(benchmark::State& state) {
+  const std::vector<uint8_t> data = ChecksumInput(state.range(0));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(Crc32(data));
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_Crc32)->Arg(4 << 10)->Arg(1 << 20);
+
+void BM_ContentKeyOf(benchmark::State& state) {
+  const std::vector<uint8_t> data = ChecksumInput(state.range(0));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ContentKeyOf(data));
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_ContentKeyOf)->Arg(4 << 10)->Arg(1 << 20);
 
 void BM_LocalCheckpointCycle(benchmark::State& state) {
   for (auto _ : state) {

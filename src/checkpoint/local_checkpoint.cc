@@ -205,7 +205,7 @@ void LocalCheckpointEngine::BuildCompositeImage() {
       ++stats.delta_chunks;
       ++stats.crc_fallbacks;
     } else {
-      builder.AddChunk(component->checkpoint_id(), std::move(payload));
+      builder.AddChunk(component->checkpoint_id(), std::move(payload), crc);
       ++stats.payload_chunks;
     }
     track.version = version;
@@ -317,7 +317,7 @@ void LocalCheckpointEngine::CommitPendingCapture() {
       ++stats.delta_chunks;
       ++stats.crc_fallbacks;
     } else {
-      builder.AddChunk(entry.id, std::move(payload));
+      builder.AddChunk(entry.id, std::move(payload), crc);
       ++stats.payload_chunks;
     }
     track.version = entry.version;

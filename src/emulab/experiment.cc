@@ -378,7 +378,7 @@ void Experiment::StatefulSwapIn(bool lazy, std::function<void(const SwapRecord&)
       for (const std::string& name : node_order_) {
         MappedNode& mapped = nodes_[name];
         record->bytes_transferred +=
-            mapped.node->store().AggregatedBlockSet().size() * kBlockSize;
+            mapped.node->store().aggregated_delta_blocks() * kBlockSize;
         mapped.node->mirror().BeginLazyCopyIn(mapped.node->store().AggregatedBlockSet(),
                                               nullptr);
       }
@@ -396,7 +396,7 @@ void Experiment::StatefulSwapIn(bool lazy, std::function<void(const SwapRecord&)
     // Non-lazy: transfer the full aggregated delta before resuming.
     uint64_t delta_bytes = 0;
     for (const std::string& name : node_order_) {
-      delta_bytes += nodes_[name].node->store().AggregatedBlockSet().size() * kBlockSize;
+      delta_bytes += nodes_[name].node->store().aggregated_delta_blocks() * kBlockSize;
     }
     record->bytes_transferred += delta_bytes;
     TransferToFs(delta_bytes, [this, record, swap_span, done = std::move(done)]() mutable {

@@ -727,7 +727,8 @@ std::vector<uint8_t> CheckpointRepo::Materialize(uint64_t handle) {
       error_ = "payload of chunk '" + cr.id + "' failed CRC verification";
       return {};
     }
-    builder.AddChunk(cr.id, std::move(payload));
+    // ReadPayload just proved the bytes carry src->key, CRC included.
+    builder.AddChunk(cr.id, std::move(payload), src->key.crc);
     payload.clear();
   }
   error_.clear();

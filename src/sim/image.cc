@@ -1,5 +1,6 @@
 #include "src/sim/image.h"
 
+#include <array>
 #include <cassert>
 #include <cstring>
 #include <set>
@@ -10,20 +11,35 @@
 namespace tcsim {
 namespace {
 
-// Lazily built table for the reflected IEEE CRC-32.
-const uint32_t* Crc32Table() {
-  static const uint32_t* table = [] {
-    static uint32_t t[256];
-    for (uint32_t i = 0; i < 256; ++i) {
-      uint32_t c = i;
-      for (int k = 0; k < 8; ++k) {
-        c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-      }
-      t[i] = c;
+// Slicing-by-8 tables for the reflected IEEE CRC-32 (polynomial 0xEDB88320).
+// Row 0 is the classic bytewise table; row k advances a row-0 entry by k more
+// zero bytes, so one step folds eight input bytes with eight lookups.
+using Crc32Tables = std::array<std::array<uint32_t, 256>, 8>;
+
+constexpr Crc32Tables MakeCrc32Tables() {
+  Crc32Tables t{};
+  for (uint32_t i = 0; i < 256; ++i) {
+    uint32_t c = i;
+    for (int k = 0; k < 8; ++k) {
+      c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
     }
-    return t;
-  }();
-  return table;
+    t[0][i] = c;
+  }
+  for (uint32_t i = 0; i < 256; ++i) {
+    for (size_t k = 1; k < 8; ++k) {
+      t[k][i] = t[0][t[k - 1][i] & 0xFF] ^ (t[k - 1][i] >> 8);
+    }
+  }
+  return t;
+}
+
+constexpr Crc32Tables kCrc32Tables = MakeCrc32Tables();
+
+// Little-endian load regardless of host byte order (compilers fuse it into
+// one 32-bit load on little-endian targets).
+inline uint32_t LoadLe32(const uint8_t* p) {
+  return static_cast<uint32_t>(p[0]) | static_cast<uint32_t>(p[1]) << 8 |
+         static_cast<uint32_t>(p[2]) << 16 | static_cast<uint32_t>(p[3]) << 24;
 }
 
 // Serialized size of a length-prefixed string.
@@ -34,18 +50,32 @@ size_t StringWireSize(const std::string& s) {
 }  // namespace
 
 uint32_t Crc32(const uint8_t* data, size_t n) {
-  const uint32_t* table = Crc32Table();
+  const Crc32Tables& t = kCrc32Tables;
   uint32_t crc = 0xFFFFFFFFu;
-  for (size_t i = 0; i < n; ++i) {
-    crc = table[(crc ^ data[i]) & 0xFF] ^ (crc >> 8);
+  for (; n >= 8; data += 8, n -= 8) {
+    const uint32_t lo = crc ^ LoadLe32(data);
+    const uint32_t hi = LoadLe32(data + 4);
+    crc = t[7][lo & 0xFF] ^ t[6][(lo >> 8) & 0xFF] ^ t[5][(lo >> 16) & 0xFF] ^
+          t[4][lo >> 24] ^ t[3][hi & 0xFF] ^ t[2][(hi >> 8) & 0xFF] ^
+          t[1][(hi >> 16) & 0xFF] ^ t[0][hi >> 24];
+  }
+  for (; n > 0; ++data, --n) {
+    crc = t[0][(crc ^ *data) & 0xFF] ^ (crc >> 8);
   }
   return crc ^ 0xFFFFFFFFu;
 }
 
 void CheckpointImageBuilder::AddChunk(std::string id,
                                       std::vector<uint8_t> payload) {
+  const uint32_t crc = Crc32(payload);
+  AddChunk(std::move(id), std::move(payload), crc);
+}
+
+void CheckpointImageBuilder::AddChunk(std::string id,
+                                      std::vector<uint8_t> payload,
+                                      uint32_t crc) {
   chunks_.push_back(
-      PendingChunk{std::move(id), kChunkKindPayload, std::move(payload), 0});
+      PendingChunk{std::move(id), kChunkKindPayload, std::move(payload), crc});
 }
 
 void CheckpointImageBuilder::AddDeltaChunk(std::string id,
@@ -105,10 +135,10 @@ std::vector<uint8_t> CheckpointImageBuilder::Serialize() const {
     }
     if (c.kind == kChunkKindPayload) {
       w.Write<uint64_t>(c.payload.size());
-      w.Write<uint32_t>(Crc32(c.payload));
+      w.Write<uint32_t>(c.crc);
       w.WriteBytes(c.payload.data(), c.payload.size());
     } else {
-      w.Write<uint32_t>(c.expected_crc);
+      w.Write<uint32_t>(c.crc);
     }
   }
   return w.Take();
@@ -221,6 +251,10 @@ bool CheckpointImageView::HasDeltaRef(const std::string& id) const {
   }
   auto it = chunks_.find(id);
   return it != chunks_.end() && it->second.kind == kChunkKindDeltaRef;
+}
+
+uint32_t CheckpointImageView::ChunkCrc(const std::string& id) const {
+  return chunks_.at(id).crc;
 }
 
 uint32_t CheckpointImageView::DeltaRefCrc(const std::string& id) const {

@@ -48,7 +48,9 @@
 
 namespace tcsim {
 
-// CRC-32 (IEEE 802.3 polynomial, reflected) over `data`.
+// CRC-32 (IEEE 802.3 polynomial, reflected) over `data`, computed eight
+// bytes per step (slicing-by-8). Every chunk, segment record and journal
+// record in the on-disk formats carries this checksum.
 uint32_t Crc32(const uint8_t* data, size_t n);
 inline uint32_t Crc32(const std::vector<uint8_t>& data) {
   return Crc32(data.data(), data.size());
@@ -75,8 +77,14 @@ class CheckpointImageBuilder {
  public:
   // Appends a raw payload chunk. Ids must be unique within one image. Both
   // arguments are taken by value and moved into place, so callers that hand
-  // over rvalues pay zero payload copies.
+  // over rvalues pay zero payload copies. Computes the chunk's CRC32 here,
+  // once; Serialize writes the stored value.
   void AddChunk(std::string id, std::vector<uint8_t> payload);
+
+  // As above, for callers that already hold `crc` == Crc32(payload) (computed
+  // for a delta decision, or verified on the way in). The value is trusted,
+  // not re-checked: a wrong CRC yields an image every reader rejects.
+  void AddChunk(std::string id, std::vector<uint8_t> payload, uint32_t crc);
 
   // Appends a delta-ref chunk: "identical to chunk `id` of the parent image,
   // whose payload CRC32 was `expected_parent_crc`". Requires SetDeltaHeader
@@ -100,8 +108,8 @@ class CheckpointImageBuilder {
   struct PendingChunk {
     std::string id;
     uint8_t kind;
-    std::vector<uint8_t> payload;   // payload kind
-    uint32_t expected_crc = 0;      // delta-ref kind
+    std::vector<uint8_t> payload;  // payload kind only
+    uint32_t crc = 0;              // payload: own CRC; delta ref: parent CRC
   };
 
   std::vector<PendingChunk> chunks_;
@@ -140,6 +148,10 @@ class CheckpointImageView {
 
   // Payload of chunk `id`. Must exist (check HasChunk first).
   const std::vector<uint8_t>& Chunk(const std::string& id) const;
+
+  // CRC32 of payload chunk `id`, already checked against its bytes when the
+  // view was built. Must exist (check HasChunk first).
+  uint32_t ChunkCrc(const std::string& id) const;
 
   // Delta-ref chunks.
   bool HasDeltaRef(const std::string& id) const;

@@ -44,7 +44,7 @@ uint64_t ImageStore::Put(std::vector<uint8_t> bytes) {
     if (view.HasChunk(chunk_id)) {
       auto resolved = std::make_shared<ResolvedChunk>();
       resolved->payload = view.Chunk(chunk_id);
-      resolved->crc = Crc32(resolved->payload);
+      resolved->crc = view.ChunkCrc(chunk_id);  // verified by the view
       img.resolved.emplace(chunk_id, std::move(resolved));
     } else {
       // Delta ref: must resolve against the direct parent, and the recorded
@@ -98,7 +98,8 @@ std::vector<uint8_t> ImageStore::Materialize(uint64_t id) const {
   CheckpointImageBuilder builder;
   builder.SetDeltaHeader(id, 0);
   for (const std::string& chunk_id : img.order) {
-    builder.AddChunk(chunk_id, img.resolved.at(chunk_id)->payload);
+    const ResolvedChunk& chunk = *img.resolved.at(chunk_id);
+    builder.AddChunk(chunk_id, chunk.payload, chunk.crc);
   }
   return builder.Serialize();
 }

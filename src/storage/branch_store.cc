@@ -239,23 +239,30 @@ uint64_t BranchStore::LiveDeltaBlocks() const {
 
 namespace {
 
+// One serialized extent-map entry. Three packed u64s, block first: exactly
+// the bytes three Write<uint64_t> calls would emit, so a sorted vector of
+// them is written in one piece.
+struct ExtentRecord {
+  uint64_t block;
+  uint64_t content;
+  uint64_t slot;
+};
+static_assert(sizeof(ExtentRecord) == 3 * sizeof(uint64_t));
+
 // Writes an extent map in sorted block order: unordered_map iteration order
 // is not stable across processes, and images must be bit-reproducible.
 void SaveExtentMap(ArchiveWriter* w,
                    const std::unordered_map<uint64_t, BranchStore::Extent>& map) {
-  std::vector<uint64_t> blocks;
-  blocks.reserve(map.size());
+  std::vector<ExtentRecord> records;
+  records.reserve(map.size());
   for (const auto& [block, extent] : map) {
-    blocks.push_back(block);
+    records.push_back(ExtentRecord{block, extent.content, extent.slot});
   }
-  std::sort(blocks.begin(), blocks.end());
-  w->Write<uint64_t>(blocks.size());
-  for (uint64_t block : blocks) {
-    const BranchStore::Extent& extent = map.at(block);
-    w->Write<uint64_t>(block);
-    w->Write<uint64_t>(extent.content);
-    w->Write<uint64_t>(extent.slot);
-  }
+  std::sort(records.begin(), records.end(),
+            [](const ExtentRecord& a, const ExtentRecord& b) {
+              return a.block < b.block;
+            });
+  w->WriteVector(records);  // count, then the records
 }
 
 void RestoreExtentMap(ArchiveReader& r,

@@ -4,12 +4,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <string>
 #include <vector>
 
 #include "src/dummynet/pipe.h"
 #include "src/guest/node.h"
+#include "src/repo/checkpoint_repo.h"
 #include "src/sim/archive.h"
 #include "src/sim/checkpointable.h"
 #include "src/sim/image.h"
@@ -43,6 +46,47 @@ class Counter : public Checkpointable {
 TEST(Crc32Test, MatchesKnownVector) {
   const char* s = "123456789";
   EXPECT_EQ(Crc32(reinterpret_cast<const uint8_t*>(s), 9), 0xCBF43926u);
+}
+
+// The definition of the checksum: one reflected-polynomial step per bit.
+// Crc32 must agree with it on every input, since images, segment records and
+// journal records on disk all carry its value.
+uint32_t BitwiseCrc32(const uint8_t* data, size_t n) {
+  uint32_t crc = 0xFFFFFFFFu;
+  for (size_t i = 0; i < n; ++i) {
+    crc ^= data[i];
+    for (int k = 0; k < 8; ++k) {
+      crc = (crc & 1) ? 0xEDB88320u ^ (crc >> 1) : crc >> 1;
+    }
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+std::vector<uint8_t> RandomBytes(size_t n, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<uint8_t> bytes(n);
+  for (uint8_t& b : bytes) {
+    b = static_cast<uint8_t>(rng.NextUint64());
+  }
+  return bytes;
+}
+
+TEST(Crc32Test, MatchesBitwiseReferenceAtEveryLengthAndAlignment) {
+  // Lengths 0..256 cover the empty input, every tail length after the
+  // eight-byte steps, and many steps; offsets 0..7 cover every alignment.
+  const std::vector<uint8_t> bytes = RandomBytes(256 + 8, 7);
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t len = 0; len <= 256; ++len) {
+      const uint8_t* p = bytes.data() + offset;
+      ASSERT_EQ(Crc32(p, len), BitwiseCrc32(p, len))
+          << "offset " << offset << ", length " << len;
+    }
+  }
+}
+
+TEST(Crc32Test, MatchesBitwiseReferenceOnOneMebibyte) {
+  const std::vector<uint8_t> bytes = RandomBytes(1 << 20, 11);
+  EXPECT_EQ(Crc32(bytes), BitwiseCrc32(bytes.data(), bytes.size()));
 }
 
 TEST(ImageContainerTest, RoundTripsChunksThroughSerialization) {
@@ -117,6 +161,66 @@ TEST(ImageContainerTest, RejectsFlippedPayloadBit) {
   CheckpointImageView view(image);
   EXPECT_FALSE(view.ok());
   EXPECT_NE(view.error().find("CRC"), std::string::npos) << view.error();
+}
+
+TEST(ImageContainerTest, SuppliedCrcSerializesIdenticallyToComputedCrc) {
+  const std::vector<uint8_t> first = RandomBytes(1000, 3);
+  const std::vector<uint8_t> second = RandomBytes(13, 4);
+  for (const bool v2 : {false, true}) {
+    CheckpointImageBuilder computed, supplied;
+    if (v2) {
+      computed.SetDeltaHeader(4, 0);
+      supplied.SetDeltaHeader(4, 0);
+    }
+    computed.AddChunk("first", first);
+    computed.AddChunk("second", second);
+    supplied.AddChunk("first", first, Crc32(first));
+    supplied.AddChunk("second", second, Crc32(second));
+    EXPECT_EQ(computed.Serialize(), supplied.Serialize()) << "v2 " << v2;
+  }
+}
+
+TEST(ImageContainerTest, CorruptedPayloadIsRejectedByViewAndRepo) {
+  const std::vector<uint8_t> payload = RandomBytes(64, 6);
+  CheckpointImageBuilder builder;
+  builder.SetDeltaHeader(1, 0);
+  builder.AddChunk("a", payload, Crc32(payload));
+  const std::vector<uint8_t> image = builder.Serialize();
+
+  // In memory: the view checks every chunk's CRC, and ImageStore::Put takes
+  // its chunk CRCs only from a view that passed.
+  std::vector<uint8_t> flipped = image;
+  flipped[flipped.size() - 5] ^= 0x08;  // inside the only payload
+  CheckpointImageView view(flipped);
+  EXPECT_FALSE(view.ok());
+  EXPECT_NE(view.error().find("CRC"), std::string::npos) << view.error();
+  ImageStore store;
+  EXPECT_EQ(store.Put(flipped), 0u);
+
+  // On disk: a payload byte flipped after the put is caught when the repo
+  // reads it back, before the materialized image reuses the stored CRC.
+  const std::string dir =
+      (std::filesystem::path(::testing::TempDir()) / "tcsim_image_corrupt")
+          .string();
+  std::filesystem::remove_all(dir);
+  std::string error;
+  auto repo = CheckpointRepo::Open(dir, RepoOptions{}, &error);
+  ASSERT_NE(repo, nullptr) << error;
+  const uint64_t handle = repo->PutImage(image);
+  ASSERT_NE(handle, 0u) << repo->error();
+  const std::string segment = dir + "/segment.1";
+  const auto size = static_cast<long>(std::filesystem::file_size(segment));
+  std::FILE* f = std::fopen(segment.c_str(), "r+b");
+  ASSERT_NE(f, nullptr);
+  std::fseek(f, size - 5, SEEK_SET);  // inside the only payload record
+  const int c = std::fgetc(f);
+  std::fseek(f, size - 5, SEEK_SET);
+  std::fputc(c ^ 0x08, f);
+  std::fclose(f);
+  EXPECT_TRUE(repo->Materialize(handle).empty());
+  EXPECT_NE(repo->error().find("CRC"), std::string::npos) << repo->error();
+  repo.reset();
+  std::filesystem::remove_all(dir);
 }
 
 TEST(ImageContainerTest, UnknownChunksAreSkipped) {
@@ -202,6 +306,7 @@ TEST(DeltaImageTest, DeltaRefsParseWithIdentityAndCrc) {
   EXPECT_TRUE(view.is_delta());
   EXPECT_EQ(view.delta_ref_count(), 1u);
   EXPECT_TRUE(view.HasChunk("changed"));
+  EXPECT_EQ(view.ChunkCrc("changed"), Crc32(PayloadOf(18)));
   EXPECT_FALSE(view.HasChunk("same"));  // a delta ref is not readable payload
   EXPECT_TRUE(view.HasDeltaRef("same"));
   EXPECT_EQ(view.DeltaRefCrc("same"), parent_crc);
@@ -329,6 +434,12 @@ TEST(ImageStoreTest, RejectsStaleParentCrc) {
   EXPECT_EQ(store.Put(DeltaImage(2, 1, 11, 21)), 0u);
   EXPECT_NE(store.error().find("stale"), std::string::npos) << store.error();
   EXPECT_EQ(store.image_count(), 1u);
+  // The same holds one link further down, where the parent's "b" was itself
+  // a delta ref and its stored CRC came from image 1's verified chunk.
+  ASSERT_EQ(store.Put(DeltaImage(2, 1, 11, 20)), 2u) << store.error();
+  EXPECT_EQ(store.Put(DeltaImage(3, 2, 12, 21)), 0u);
+  EXPECT_NE(store.error().find("stale"), std::string::npos) << store.error();
+  EXPECT_EQ(store.image_count(), 2u);
 }
 
 TEST(ImageStoreTest, RejectsDeltaRefAbsentInParent) {
