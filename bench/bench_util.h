@@ -11,23 +11,22 @@
 // numbers, machine-readable, consumed by bench/run_all.sh to build a
 // consolidated JSON document (BENCH_PR5.json by default).
 //
-// Telemetry flags (PR 5): --trace[=FILE] records every span/instant of the
-// run and writes Chrome trace JSON (open at chrome://tracing) to FILE or
-// <name>_trace.json; --metrics prints the metric registry and the span
-// summary table after the run. Under --audit without --trace the harness arms
-// the bounded ring-buffer flight recorder instead, so the first invariant
-// violation dumps the timeline that led up to it. With --json the metric
-// registry is always folded into the emitted object under "telemetry" —
-// "metrics" is taken by the paper-vs-measured rows EmitJson writes, and
-// emitting both under one key produced a duplicate-key object whose parse
-// depended on the reader's last-wins/first-wins policy.
+// Telemetry flags: --trace[=FILE] and --ledger[=FILE] arm the one recorder
+// (obs::TraceSession) in full mode; they differ only in the exporter that
+// writes at exit — Chrome trace JSON (open at chrome://tracing) to FILE or
+// <name>_trace.json, or the epoch ledger's JSONL (feed it to
+// tools/tcsim_analyze) to FILE or <name>_ledger.jsonl. --metrics prints the
+// metric registry and the span summary table after the run. Under --audit
+// with neither, the harness arms the ring-buffer flight recorder instead, so
+// the first invariant violation dumps the timeline that led up to it. With
+// --json the metric registry is always folded into the emitted object under
+// "telemetry" — "metrics" is taken by the paper-vs-measured rows EmitJson
+// writes, and emitting both under one key produced a duplicate-key object
+// whose parse depended on the reader's last-wins/first-wins policy.
 //
-// --ledger[=FILE] (PR 10) arms the epoch critical-path ledger
-// (obs::EpochLedger) at startup and writes the final run's merged records as
-// JSONL to FILE (default <name>_ledger.jsonl) at exit — feed the file to
-// tools/tcsim_analyze. Benches that compute attribution columns in-process
-// re-Enable() the ledger per measured run regardless of the flag; the flag
-// only controls whether the last run's ledger is persisted.
+// Benches that compute attribution columns in-process restart the recorder
+// for each measured run (tools::AttributeRun), so both exports hold the last
+// such run onward.
 
 #ifndef TCSIM_BENCH_BENCH_UTIL_H_
 #define TCSIM_BENCH_BENCH_UTIL_H_
@@ -37,7 +36,6 @@
 #include <string>
 #include <vector>
 
-#include "src/obs/epoch_ledger.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace_session.h"
 #include "src/sim/invariants.h"
@@ -244,20 +242,22 @@ class BenchMain {
     const char* trace = FlagValue(argc, argv, "--trace");
     if (trace != nullptr) {
       trace_file_ = *trace != '\0' ? trace : std::string(name) + "_trace.json";
-      obs::TraceSession::Global().StartFull();
-    } else if (HasFlag(argc, argv, "--audit")) {
-      // No full trace requested but audits are on: arm the flight recorder so
-      // a violation comes with the timeline that led up to it.
-      obs::TraceSession::Global().StartRing();
-    }
-    if (obs::TraceSession::Global().enabled()) {
-      obs::TraceSession::Global().InstallAuditDump();
     }
     const char* ledger = FlagValue(argc, argv, "--ledger");
     if (ledger != nullptr) {
       ledger_file_ =
           *ledger != '\0' ? ledger : std::string(name) + "_ledger.jsonl";
-      obs::EpochLedger::Global().Enable();
+    }
+    obs::TraceSession& session = obs::TraceSession::Global();
+    if (trace != nullptr || ledger != nullptr) {
+      session.StartFull();
+    } else if (HasFlag(argc, argv, "--audit")) {
+      // No export requested but audits are on: arm the flight recorder so a
+      // violation comes with the timeline that led up to it.
+      session.StartRing();
+    }
+    if (session.enabled()) {
+      session.InstallAuditDump();
     }
   }
 
@@ -285,12 +285,11 @@ class BenchMain {
       }
     }
     if (!ledger_file_.empty()) {
-      obs::EpochLedger& ledger = obs::EpochLedger::Global();
-      if (ledger.WriteJsonl(ledger_file_)) {
+      if (trace.WriteJsonl(ledger_file_)) {
         if (!BenchReport::Instance().json_mode()) {
           std::printf("\nledger: %zu records -> %s (analyze with "
                       "tcsim_analyze)\n",
-                      ledger.recorded(), ledger_file_.c_str());
+                      trace.LedgerRecords().size(), ledger_file_.c_str());
         }
       } else {
         std::fprintf(stderr, "cannot write ledger file %s\n",

@@ -21,6 +21,7 @@
 #include "src/net/tcp.h"
 #include "src/net/timer_host.h"
 #include "src/net/wire.h"
+#include "src/obs/trace_session.h"
 #include "src/repo/segment_file.h"
 #include "src/sim/image.h"
 #include "src/sim/random.h"
@@ -253,6 +254,44 @@ void BM_LocalCheckpointCycle(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LocalCheckpointCycle);
+
+// Instrumentation overhead: one scoped span, as every epoch-pipeline phase
+// records it. Off, a span is one relaxed load of the recorder's mode (no
+// clock read, no allocation — allocs_per_span must read 0); in full mode it
+// reads the wall clock twice and appends one record. Full mode restarts
+// every 64Ki spans, untimed, so the held records stay bounded; the restart
+// keeps the record vector's capacity, so steady state does not allocate.
+void RunSpans(benchmark::State& state) {
+  obs::TraceSession& session = obs::TraceSession::Global();
+  const uint64_t allocs_before = g_allocations.load(std::memory_order_relaxed);
+  uint64_t spans = 0;
+  for (auto _ : state) {
+    obs::Span span("checkpoint", "window", "barrier");
+    benchmark::ClobberMemory();  // re-read the mode every iteration
+    if ((++spans & 0xFFFF) == 0 && session.enabled()) {
+      state.PauseTiming();
+      session.StartFull();
+      state.ResumeTiming();
+    }
+  }
+  const uint64_t allocs =
+      g_allocations.load(std::memory_order_relaxed) - allocs_before;
+  state.counters["allocs_per_span"] = benchmark::Counter(
+      spans > 0 ? static_cast<double>(allocs) / static_cast<double>(spans) : 0);
+  session.Clear();
+}
+
+void BM_SpanDisabled(benchmark::State& state) {
+  obs::TraceSession::Global().Clear();
+  RunSpans(state);
+}
+BENCHMARK(BM_SpanDisabled);
+
+void BM_SpanEnabled(benchmark::State& state) {
+  obs::TraceSession::Global().StartFull();
+  RunSpans(state);
+}
+BENCHMARK(BM_SpanEnabled);
 
 }  // namespace
 }  // namespace tcsim

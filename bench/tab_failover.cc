@@ -30,7 +30,6 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "bench/ledger_util.h"
 #include "src/emulab/external_observer.h"
 #include "src/ha/fault_injector.h"
 #include "src/ha/micro_checkpointer.h"
@@ -38,6 +37,7 @@
 #include "src/sim/digest.h"
 #include "src/sim/time.h"
 #include "src/sim/trace.h"
+#include "tools/analyze.h"
 
 using namespace tcsim;
 
@@ -65,7 +65,7 @@ struct HaRun {
   size_t recoveries = 0;
   bool recovered_ok = true;
   double wall_s = 0;
-  LedgerAttribution ledger;
+  tools::LedgerAttribution ledger;
 };
 
 HaRun RunOnce(const Scale& scale, SimTime period, SimTime horizon,
@@ -87,13 +87,13 @@ HaRun RunOnce(const Scale& scale, SimTime period, SimTime horizon,
     mc.SetFaultInjector(faults);
   }
 
-  obs::EpochLedger::Global().Enable();
-  const auto start = std::chrono::steady_clock::now();
-  mc.RunUntil(horizon);
-  const auto stop = std::chrono::steady_clock::now();
-
   HaRun r;
-  r.ledger = AnalyzeLedgerRun();
+  std::chrono::steady_clock::time_point start, stop;
+  r.ledger = tools::AttributeRun([&] {
+    start = std::chrono::steady_clock::now();
+    mc.RunUntil(horizon);
+    stop = std::chrono::steady_clock::now();
+  });
   r.trace = observer.trace();
   Fnv1aDigest behavior;
   for (size_t i = 0; i < topo->node_count(); ++i) {

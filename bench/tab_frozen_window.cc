@@ -30,13 +30,13 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "bench/ledger_util.h"
 #include "src/checkpoint/epoch_coordinator.h"
 #include "src/net/topology.h"
 #include "src/repo/checkpoint_repo.h"
 #include "src/sim/scheduler.h"
 #include "src/sim/staging.h"
 #include "src/sim/time.h"
+#include "tools/analyze.h"
 
 using namespace tcsim;
 
@@ -52,7 +52,7 @@ struct ModeResult {
   double commit_wait_ms = 0;       // mean stall on the previous commit (async)
   bool spill_ok = true;
   bool open_ok = true;
-  LedgerAttribution ledger;
+  tools::LedgerAttribution ledger;
 };
 
 ModeResult RunMode(GeneratedTopologyParams params, uint32_t partitions,
@@ -85,9 +85,8 @@ ModeResult RunMode(GeneratedTopologyParams params, uint32_t partitions,
     });
   }
   epochs.AttachRepository(repo.get());
-  obs::EpochLedger::Global().Enable();
-  epochs.RunUntil(horizon);
-  r.ledger = AnalyzeLedgerRun();
+  r.ledger =
+      tools::AttributeRun([&epochs, horizon] { epochs.RunUntil(horizon); });
 
   r.epochs = epochs.history().size();
   for (const auto& rec : epochs.history()) {

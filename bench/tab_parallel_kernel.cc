@@ -28,13 +28,13 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "bench/ledger_util.h"
 #include "src/checkpoint/epoch_coordinator.h"
 #include "src/net/topology.h"
 #include "src/repo/checkpoint_repo.h"
 #include "src/sim/digest.h"
 #include "src/sim/scheduler.h"
 #include "src/sim/time.h"
+#include "tools/analyze.h"
 
 using namespace tcsim;
 
@@ -112,7 +112,7 @@ struct SpillRunResult {
   uint64_t captures_digest = 0;
   bool spill_ok = true;            // every epoch committed
   bool reopen_ok = false;          // a fresh process saw identical bytes
-  LedgerAttribution ledger;
+  tools::LedgerAttribution ledger;
 };
 
 SpillRunResult RunSpill(GeneratedTopologyParams params, uint32_t hosts,
@@ -142,9 +142,8 @@ SpillRunResult RunSpill(GeneratedTopologyParams params, uint32_t hosts,
     });
   }
   epochs.AttachRepository(repo.get());
-  obs::EpochLedger::Global().Enable();
-  epochs.RunUntil(horizon);
-  r.ledger = AnalyzeLedgerRun();
+  r.ledger =
+      tools::AttributeRun([&epochs, horizon] { epochs.RunUntil(horizon); });
 
   r.epochs = epochs.history().size();
   for (const auto& rec : epochs.history()) {

@@ -54,82 +54,56 @@ double PartitionEpochCoordinator::JoinBackground() {
 }
 
 void PartitionEpochCoordinator::RunUntil(SimTime t) {
-  obs::EpochLedger& ledger = obs::EpochLedger::Global();
   while (next_epoch_ <= t) {
-    obs::EpochLedger::BindThread(obs::EpochLedger::kCoordinatorShard,
-                                 epoch_index_);
-    const double w0 = ledger.NowMs();
-    if (ledger.enabled() && ledger_epoch_open_ms_ < 0) {
-      ledger_epoch_open_ms_ = w0;
-    }
-    scheduler_->RunUntil(next_epoch_);
-    ledger.StampHere(-1, "window", w0, ledger.NowMs(), "barrier");
-    CaptureEpoch();
-    next_epoch_ += period_;
-    ++epoch_index_;
+    StepEpoch(t);
   }
-  obs::EpochLedger::BindThread(obs::EpochLedger::kCoordinatorShard,
-                               epoch_index_);
-  const double w0 = ledger.NowMs();
-  scheduler_->RunUntil(t);
-  ledger.StampHere(-1, "window", w0, ledger.NowMs(), "horizon");
-  // Callers read history()/CapturesDigest()/spill_handles() after RunUntil;
-  // the join edge makes those reads race-free and means a returned RunUntil
-  // always describes fully committed epochs.
-  const double j0 = ledger.NowMs();
-  JoinBackground();
-  ledger.StampHere(-1, "commit_wait", j0, ledger.NowMs(), "final_join");
+  StepEpoch(t);
+  // The caller's later records belong to no epoch.
+  obs::TraceSession::UnbindThread();
 }
 
 SimTime PartitionEpochCoordinator::StepEpoch(SimTime horizon) {
-  obs::EpochLedger& ledger = obs::EpochLedger::Global();
+  obs::TraceSession::BindThread(obs::TraceSession::kCoordinatorShard,
+                                epoch_index_);
+  obs::TraceSession& session = obs::TraceSession::Global();
   if (next_epoch_ <= horizon) {
     const SimTime barrier = next_epoch_;
-    obs::EpochLedger::BindThread(obs::EpochLedger::kCoordinatorShard,
-                                 epoch_index_);
-    const double w0 = ledger.NowMs();
-    if (ledger.enabled() && ledger_epoch_open_ms_ < 0) {
-      ledger_epoch_open_ms_ = w0;
+    if (session.enabled() && epoch_open_ms_ < 0) {
+      epoch_open_ms_ = session.NowMs();
     }
-    scheduler_->RunUntil(barrier);
-    ledger.StampHere(-1, "window", w0, ledger.NowMs(), "barrier");
+    {
+      obs::Span window("checkpoint", "window", "barrier");
+      scheduler_->RunUntil(barrier);
+    }
     CaptureEpoch();
     next_epoch_ += period_;
     ++epoch_index_;
     return barrier;
   }
-  obs::EpochLedger::BindThread(obs::EpochLedger::kCoordinatorShard,
-                               epoch_index_);
-  const double w0 = ledger.NowMs();
-  scheduler_->RunUntil(horizon);
-  ledger.StampHere(-1, "window", w0, ledger.NowMs(), "horizon");
-  const double j0 = ledger.NowMs();
+  {
+    obs::Span window("checkpoint", "window", "horizon");
+    scheduler_->RunUntil(horizon);
+  }
+  // Callers read history()/CapturesDigest()/spill_handles() after reaching
+  // the horizon; the join edge makes those reads race-free and means a
+  // returned RunUntil always describes fully committed epochs.
+  obs::Span wait("checkpoint", "commit_wait", "final_join");
   JoinBackground();
-  ledger.StampHere(-1, "commit_wait", j0, ledger.NowMs(), "final_join");
   return horizon;
 }
 
-void PartitionEpochCoordinator::CloseEpochLedger(uint64_t k,
-                                                 const char* mode) {
-  obs::EpochLedger& ledger = obs::EpochLedger::Global();
-  if (!ledger.enabled()) {
+void PartitionEpochCoordinator::CloseEpoch(const char* mode) {
+  obs::TraceSession& session = obs::TraceSession::Global();
+  if (!session.enabled()) {
     return;
   }
-  const double now = ledger.NowMs();
-  obs::LedgerRecord rec;
-  rec.epoch = k;
-  rec.partition = -1;
-  rec.phase = "epoch";
-  rec.begin_ms = ledger_epoch_open_ms_ >= 0 ? ledger_epoch_open_ms_ : now;
-  rec.end_ms = now;
-  rec.cause = mode;
-  ledger.Stamp(obs::EpochLedger::kCoordinatorShard, rec);
-  ledger_epoch_open_ms_ = now;
+  const double now = session.NowMs();
+  session.Stamp("checkpoint", "epoch", mode,
+                epoch_open_ms_ >= 0 ? epoch_open_ms_ : now, now);
+  epoch_open_ms_ = now;
 }
 
 void PartitionEpochCoordinator::CaptureEpochAsync() {
-  obs::EpochLedger& ledger = obs::EpochLedger::Global();
-  const bool lg = ledger.enabled();
   const uint64_t k = epoch_index_;
   EpochRecord rec;
   rec.async = true;
@@ -139,39 +113,26 @@ void PartitionEpochCoordinator::CaptureEpochAsync() {
   // Only a *subsequent* epoch blocks on the previous epoch's commit: by the
   // time the system has simulated one more period, the commit has usually
   // long finished and this join is free.
-  const double j0 = lg ? ledger.NowMs() : 0.0;
-  rec.commit_wait_ms = JoinBackground();
-  if (lg) {
-    ledger.StampHere(-1, "commit_wait", j0, ledger.NowMs(),
-                     "prev_epoch_commit");
+  {
+    obs::Span wait("checkpoint", "commit_wait", "prev_epoch_commit");
+    rec.commit_wait_ms = JoinBackground();
   }
 
   staged_.resize(scheduler_->partition_count());
+  obs::Span freeze("checkpoint", "freeze", "barrier");
   const auto start = std::chrono::steady_clock::now();
-  const double f0 = lg ? ledger.NowMs() : 0.0;
   // Freeze phase, inside the barrier: each partition clones its component
   // state into its pinned staging buffer — no archive framing, no CRC, no
   // repo I/O. Cost scales with dirty state, not image bytes.
-  scheduler_->ForEachPartition([this, &ledger, lg, k](Partition* p) {
-    const double p0 = lg ? ledger.NowMs() : 0.0;
+  scheduler_->ForEachPartition([this, k](Partition* p) {
+    obs::ThreadBinding bind(obs::TraceSession::PartitionShard(p->id()), k);
+    obs::Span span("checkpoint", "freeze.partition", "snapshot");
     StagedCapture* staged = &staged_[p->id()];
     pool_.Acquire(staged);
     snapshot_(p, staged);
-    if (lg) {
-      obs::LedgerRecord lr;
-      lr.epoch = k;
-      lr.partition = static_cast<int32_t>(p->id());
-      lr.phase = "freeze.partition";
-      lr.begin_ms = p0;
-      lr.end_ms = ledger.NowMs();
-      lr.cause = "snapshot";
-      ledger.Stamp(p->id(), lr);
-    }
   });
   const auto end = std::chrono::steady_clock::now();
-  if (lg) {
-    ledger.StampHere(-1, "freeze", f0, ledger.NowMs(), "barrier");
-  }
+  freeze.End();
   rec.frozen_wall_ms =
       std::chrono::duration<double, std::milli>(end - start).count();
   rec.wall_ms = rec.frozen_wall_ms;
@@ -180,42 +141,36 @@ void PartitionEpochCoordinator::CaptureEpochAsync() {
   const size_t index = history_.size() - 1;
   // The epoch's serial (frozen) span ends here: the background phase below
   // overlaps the next window and is attributed to this epoch by its labels.
-  CloseEpochLedger(k, "async");
+  CloseEpoch("async");
   // Background phase: partitions run the next window while this thread
   // serializes, digests, and spills. The previous thread was joined above,
   // so all repository work stays serialized on one owner at a time and the
   // members BackgroundCommit touches are handed off race-free. The spawn
   // itself is serial coordinator time (tens of microseconds) spent after the
   // epoch closed — stamped so fast epochs still attribute fully.
-  const double l0 = lg ? ledger.NowMs() : 0.0;
+  obs::Span launch("checkpoint", "commit_launch", "thread_spawn");
   background_ = std::thread([this, index] { BackgroundCommit(index); });
-  if (lg) {
-    ledger.StampHere(-1, "commit_launch", l0, ledger.NowMs(), "thread_spawn");
-  }
 }
 
 void PartitionEpochCoordinator::BackgroundCommit(size_t index) {
-  obs::EpochLedger& ledger = obs::EpochLedger::Global();
-  const bool lg = ledger.enabled();
   // history_ grows one record per epoch, so index + 1 is the 1-based epoch
   // this commit belongs to — the label its overlapped work carries.
-  obs::EpochLedger::BindThread(obs::EpochLedger::kCommitShard,
-                               static_cast<uint64_t>(index) + 1);
-  const auto start = std::chrono::steady_clock::now();
-  const double c0 = lg ? ledger.NowMs() : 0.0;
+  obs::ThreadBinding bind(obs::TraceSession::kCommitShard,
+                          static_cast<uint64_t>(index) + 1);
   EpochRecord& rec = history_[index];
+  // The epoch's sim instant: the repository's spans below take it too.
+  obs::Span commit("checkpoint", "commit", "background", rec.at);
+  const auto start = std::chrono::steady_clock::now();
   std::unique_ptr<RepoWriteBatch> batch =
       repo_ != nullptr ? repo_->BeginBatch() : nullptr;
   std::vector<std::shared_ptr<const std::vector<uint8_t>>> images(
       staged_.size());
   for (size_t p = 0; p < staged_.size(); ++p) {
-    const double s0 = lg ? ledger.NowMs() : 0.0;
+    obs::Span serialize("checkpoint", "serialize.partition", "background");
+    serialize.SetPartition(static_cast<int32_t>(p));
     auto image = std::make_shared<const std::vector<uint8_t>>(
         SerializeStagedImage(staged_[p]));
-    if (lg) {
-      ledger.StampHere(static_cast<int32_t>(p), "serialize.partition", s0,
-                       ledger.NowMs(), "background");
-    }
+    serialize.End();
     rec.image_bytes += image->size();
     captures_digest_.MixBytes(image->data(), image->size());
     if (batch != nullptr) {
@@ -250,10 +205,6 @@ void PartitionEpochCoordinator::BackgroundCommit(size_t index) {
   rec.background_wall_ms = std::chrono::duration<double, std::milli>(
                                std::chrono::steady_clock::now() - start)
                                .count();
-  if (lg) {
-    ledger.StampHere(-1, "commit", c0, ledger.NowMs(), "background");
-  }
-  obs::EpochLedger::UnbindThread();
 }
 
 void PartitionEpochCoordinator::CaptureEpoch() {
@@ -261,8 +212,6 @@ void PartitionEpochCoordinator::CaptureEpoch() {
     CaptureEpochAsync();
     return;
   }
-  obs::EpochLedger& ledger = obs::EpochLedger::Global();
-  const bool lg = ledger.enabled();
   const uint64_t k = epoch_index_;
   EpochRecord rec;
   rec.at = scheduler_->partition_count() > 0
@@ -272,8 +221,8 @@ void PartitionEpochCoordinator::CaptureEpoch() {
     images_.assign(scheduler_->partition_count(), nullptr);
     std::unique_ptr<RepoWriteBatch> batch =
         repo_ != nullptr ? repo_->BeginBatch() : nullptr;
+    obs::Span capture("checkpoint", "capture", "barrier");
     const auto start = std::chrono::steady_clock::now();
-    const double c0 = lg ? ledger.NowMs() : 0.0;
     // Each capture runs as one pool task and writes only its own slot; the
     // phase barrier inside ForEachPartition publishes the slots back to this
     // thread. With a repository attached the worker also stages its image
@@ -281,24 +230,15 @@ void PartitionEpochCoordinator::CaptureEpoch() {
     // thread-safe), so content hashing overlaps the remaining captures;
     // sequence = partition id keeps the commit order — and therefore the
     // repository's bytes — independent of worker interleaving.
-    scheduler_->ForEachPartition([this, &batch, &ledger, lg, k](Partition* p) {
-      const double p0 = lg ? ledger.NowMs() : 0.0;
+    scheduler_->ForEachPartition([this, &batch, k](Partition* p) {
+      obs::ThreadBinding bind(obs::TraceSession::PartitionShard(p->id()), k);
+      obs::Span span("checkpoint", "capture.partition", "serialize");
       auto image = std::make_shared<const std::vector<uint8_t>>(capture_(p));
       if (batch != nullptr) {
         batch->Stage(image, /*parent_handle=*/0, /*parent_ticket=*/0,
                      /*sequence=*/p->id() + 1);
       }
       images_[p->id()] = std::move(image);
-      if (lg) {
-        obs::LedgerRecord lr;
-        lr.epoch = k;
-        lr.partition = static_cast<int32_t>(p->id());
-        lr.phase = "capture.partition";
-        lr.begin_ms = p0;
-        lr.end_ms = ledger.NowMs();
-        lr.cause = "serialize";
-        ledger.Stamp(p->id(), lr);
-      }
     });
     const auto end = std::chrono::steady_clock::now();
     rec.wall_ms =
@@ -307,20 +247,16 @@ void PartitionEpochCoordinator::CaptureEpoch() {
       rec.image_bytes += image->size();
       captures_digest_.MixBytes(image->data(), image->size());
     }
-    if (lg) {
-      // The capture stamp closes after the digest fold: that fold is serial
-      // coordinator work inside the frozen window too.
-      ledger.StampHere(-1, "capture", c0, ledger.NowMs(), "barrier");
-    }
+    // The capture span closes after the digest fold: that fold is serial
+    // coordinator work inside the frozen window too.
+    capture.End();
     if (batch != nullptr) {
+      obs::Span spill("checkpoint", "spill", "group_commit", rec.at);
       const auto spill_start = std::chrono::steady_clock::now();
-      const double s0 = lg ? ledger.NowMs() : 0.0;
       const CheckpointRepo::BatchCommitResult result =
           repo_->CommitBatch(std::move(batch));
       const auto spill_end = std::chrono::steady_clock::now();
-      if (lg) {
-        ledger.StampHere(-1, "spill", s0, ledger.NowMs(), "group_commit");
-      }
+      spill.End();
       rec.spill_wall_ms =
           std::chrono::duration<double, std::milli>(spill_end - spill_start)
               .count();
@@ -343,7 +279,7 @@ void PartitionEpochCoordinator::CaptureEpoch() {
     images_.clear();
   }
   history_.push_back(rec);
-  CloseEpochLedger(k, "sync");
+  CloseEpoch("sync");
 }
 
 }  // namespace tcsim

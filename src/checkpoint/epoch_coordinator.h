@@ -19,7 +19,7 @@
 #include <thread>
 #include <vector>
 
-#include "src/obs/epoch_ledger.h"
+#include "src/obs/trace_session.h"
 #include "src/repo/checkpoint_repo.h"
 #include "src/sim/digest.h"
 #include "src/sim/partition.h"
@@ -146,9 +146,9 @@ class PartitionEpochCoordinator {
   // Joins the in-flight background commit, returning the wall ms spent
   // blocked (0 when none was running or it had already finished).
   double JoinBackground();
-  // Emits epoch `k`'s boundary ledger record (span: end of the previous
+  // Records the current epoch's boundary ledger phase (end of the previous
   // epoch's capture to now) and advances the open-edge bookkeeping.
-  void CloseEpochLedger(uint64_t k, const char* mode);
+  void CloseEpoch(const char* mode);
 
   PartitionScheduler* scheduler_;
   SimTime period_;
@@ -157,10 +157,10 @@ class PartitionEpochCoordinator {
   bool async_ = false;
   SimTime next_epoch_;
   uint64_t epoch_index_ = 1;  // 1-based; advances with next_epoch_
-  // Wall instant (ledger clock) where the current epoch's span opened: the
+  // Wall instant (recorder clock) where the current epoch's span opened: the
   // end of the previous epoch's capture, or the first window's start. -1
-  // until the ledger sees the first window.
-  double ledger_epoch_open_ms_ = -1.0;
+  // until a window runs with recording on.
+  double epoch_open_ms_ = -1.0;
   CheckpointRepo* repo_ = nullptr;
   std::vector<EpochRecord> history_;
   // Scratch, indexed by partition. Shared ownership: the same buffer feeds

@@ -330,13 +330,10 @@ void LocalCheckpointEngine::CommitPendingCapture() {
 
   const double wall_us = WallMicros(t0, std::chrono::steady_clock::now());
   background_wall_us_hist_->Observe(wall_us);
-  obs::TraceSession& trace = obs::TraceSession::Global();
-  const obs::SpanId span =
-      trace.BeginSpan(node_->name(), "ckpt.background", sim_->Now());
-  trace.AddSpanArg(span, "wall_us", wall_us);
-  trace.AddSpanArg(span, "serialized_bytes",
-                   static_cast<double>(last_capture_stats_.serialized_bytes));
-  trace.EndSpan(span, sim_->Now());
+  obs::Span span(node_->name(), "ckpt.background", "", sim_->Now());
+  span.Arg("wall_us", wall_us);
+  span.Arg("serialized_bytes",
+           static_cast<double>(last_capture_stats_.serialized_bytes));
 }
 
 void LocalCheckpointEngine::FinishCapture(CheckpointImageBuilder* builder,

@@ -3,7 +3,6 @@
 #include <cassert>
 #include <chrono>
 
-#include "src/obs/epoch_ledger.h"
 #include "src/obs/trace_session.h"
 #include "src/sim/simulator.h"
 
@@ -27,18 +26,14 @@ RecoveryRecord FailoverManager::KillAndRestore(uint32_t victim, SimTime now,
   // pre-kill window before recovery mutates anything — not only on the first
   // invariant violation.
   obs::TraceSession::Global().DumpRingNow("failover recovery start");
-  obs::EpochLedger& ledger = obs::EpochLedger::Global();
-  const bool lg = ledger.enabled();
-  const double l0 = lg ? ledger.NowMs() : 0.0;
+  obs::Span span("ha", "failover", "fault", target.at);
+  span.SetPartition(static_cast<int32_t>(victim));
   const auto start = std::chrono::steady_clock::now();
   RecoveryRecord rec;
   rec.partition = victim;
   rec.killed_at = now;
   rec.restored_to = target.at;
   rec.epoch = target.epoch;
-
-  obs::SpanId span = obs::TraceSession::Global().BeginSpan(
-      "ha", "ha.failover", target.at);
 
   if (buffer_ != nullptr) {
     rec.discarded = buffer_->DiscardUnreleasedFrom(victim, target.epoch);
@@ -59,19 +54,11 @@ RecoveryRecord FailoverManager::KillAndRestore(uint32_t victim, SimTime now,
   recovery_ms_->Observe(rec.wall_ms);
   rollback_us_->Observe(static_cast<double>(now - target.at) /
                         static_cast<double>(kMicrosecond));
-  obs::TraceSession& session = obs::TraceSession::Global();
-  session.AddSpanArg(span, "partition", static_cast<double>(victim));
-  session.AddSpanArg(span, "epoch", static_cast<double>(target.epoch));
-  session.AddSpanArg(span, "replayed", static_cast<double>(rec.replayed));
-  session.AddSpanArg(span, "discarded", static_cast<double>(rec.discarded));
-  session.EndSpan(span, now);
-  if (lg) {
-    ledger.StampHere(static_cast<int32_t>(victim), "failover", l0,
-                     ledger.NowMs(), "fault",
-                     {{"epoch", static_cast<double>(target.epoch)},
-                      {"replayed", static_cast<double>(rec.replayed)},
-                      {"discarded", static_cast<double>(rec.discarded)}});
-  }
+  span.Arg("partition", static_cast<double>(victim));
+  span.Arg("epoch", static_cast<double>(target.epoch));
+  span.Arg("replayed", static_cast<double>(rec.replayed));
+  span.Arg("discarded", static_cast<double>(rec.discarded));
+  span.End(now);
 
   recoveries_.push_back(rec);
   return rec;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "src/obs/epoch_ledger.h"
 #include "src/obs/trace_session.h"
 #include "src/repo/io_fault.h"
 
@@ -62,14 +61,14 @@ void MicroCheckpointer::RunUntil(SimTime t) {
       // Stop the whole system at the fault's instant — a quiescent point
       // mid-window — and dispatch. The coordinator's cadence is untouched;
       // its next StepEpoch simply resumes from here. This advance bypasses
-      // the coordinator, so the ledger stamp (and the thread binding the
-      // failover path stamps under) happens here.
-      obs::EpochLedger& ledger = obs::EpochLedger::Global();
-      obs::EpochLedger::BindThread(obs::EpochLedger::kCoordinatorShard,
-                                   coordinator_->epoch_index());
-      const double w0 = ledger.NowMs();
-      topo_->scheduler()->RunUntil(next_fault);
-      ledger.StampHere(-1, "window", w0, ledger.NowMs(), "fault");
+      // the coordinator, so the window span (and the thread binding the
+      // failover path records under) happens here.
+      obs::TraceSession::BindThread(obs::TraceSession::kCoordinatorShard,
+                                    coordinator_->epoch_index());
+      {
+        obs::Span window("ha", "window", "fault");
+        topo_->scheduler()->RunUntil(next_fault);
+      }
       now_ = next_fault;
       DispatchFaults(next_fault);
       continue;
@@ -89,23 +88,27 @@ void MicroCheckpointer::RunUntil(SimTime t) {
     now_ = t;
   }
   coordinator_->FinishCommits();
+  // The caller's later records belong to no epoch.
+  obs::TraceSession::UnbindThread();
 }
 
 void MicroCheckpointer::OnBarrier(SimTime barrier) {
   // The commit bookkeeping below (watermark marking, publishing the
   // committed images — a full image-set copy at scale) is serial wall time
-  // between windows; the ledger tiles it as "epoch_commit".
-  obs::EpochLedger& ledger = obs::EpochLedger::Global();
-  const bool lg = ledger.enabled();
-  const double c0 = lg ? ledger.NowMs() : 0.0;
+  // between windows; the ledger tiles it as "epoch_commit". A newly
+  // committed epoch also spans sim time: its instant to this barrier.
   const uint64_t k = static_cast<uint64_t>(barrier / policy_.period);
+  const uint64_t committed = k > lag() ? k - lag() : 0;
+  const bool fresh = committed >= 1 && committed > latest_.epoch;
+  obs::Span publish("ha", "epoch_commit", "publish",
+                    fresh ? static_cast<SimTime>(committed) * policy_.period
+                          : obs::kNoSimTime);
   if (buffer_ != nullptr) {
     // Epoch k's capture just happened at this barrier and nothing has run
     // since, so the shards' sequence counters are its discard watermark.
     buffer_->MarkEpoch(k);
   }
-  const uint64_t committed = k > lag() ? k - lag() : 0;
-  if (committed >= 1 && committed > latest_.epoch) {
+  if (fresh) {
     // The coordinator's join edge (inside StepEpoch's capture for async, or
     // the capture itself for sync) has published this epoch's images and its
     // history record.
@@ -120,29 +123,20 @@ void MicroCheckpointer::OnBarrier(SimTime barrier) {
       durable_epoch_ = committed;
     }
     epochs_counter_->Increment();
-    obs::TraceSession& session = obs::TraceSession::Global();
-    obs::SpanId span = session.BeginSpan("ha", "ha.epoch_commit", latest_.at);
-    session.AddSpanArg(span, "epoch", static_cast<double>(committed));
-    session.AddSpanArg(span, "bytes", static_cast<double>(rec.image_bytes));
-    session.AddSpanArg(span, "durable", latest_.durable ? 1.0 : 0.0);
-    session.EndSpan(span, barrier);
+    publish.Arg("bytes", static_cast<double>(rec.image_bytes));
+    publish.Arg("durable", latest_.durable ? 1.0 : 0.0);
   }
-  if (lg) {
-    ledger.StampHere(-1, "epoch_commit", c0, ledger.NowMs(), "publish",
-                     {{"epoch", static_cast<double>(latest_.epoch)}});
-  }
+  publish.Arg("epoch", static_cast<double>(latest_.epoch));
+  publish.End(barrier);
   if (buffer_ != nullptr) {
     const uint64_t cutoff_epoch =
         policy_.require_durable_commit ? durable_epoch_ : latest_.epoch;
     buffer_->ReleaseUpTo(static_cast<SimTime>(cutoff_epoch) * policy_.period,
                          barrier);
-    // ReleaseUpTo stamps itself ("output_release"); the prune that trims the
-    // replay log behind the committed epoch is charged separately.
-    const double p0 = lg ? ledger.NowMs() : 0.0;
+    // ReleaseUpTo records itself ("output_release"); the prune that trims
+    // the replay log behind the committed epoch is charged separately.
+    obs::Span prune("ha", "epoch_commit", "prune");
     buffer_->PruneReplayLog(latest_.at);
-    if (lg) {
-      ledger.StampHere(-1, "epoch_commit", p0, ledger.NowMs(), "prune");
-    }
   }
 }
 

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cassert>
 
-#include "src/obs/epoch_ledger.h"
+#include "src/obs/trace_session.h"
 
 #include "src/sim/simulator.h"
 
@@ -81,9 +81,7 @@ void OutputCommitBuffer::FlushShardTelemetry() {
 }
 
 size_t OutputCommitBuffer::ReleaseUpTo(SimTime cutoff, SimTime barrier) {
-  obs::EpochLedger& ledger = obs::EpochLedger::Global();
-  const bool lg = ledger.enabled();
-  const double l0 = lg ? ledger.NowMs() : 0.0;
+  obs::Span span("ha", "output_release", "epoch_commit");
   FlushShardTelemetry();
   // Send times within one shard are monotone (a partition's clock never runs
   // backward within a timeline, and after a restore the shard was already
@@ -133,16 +131,12 @@ size_t OutputCommitBuffer::ReleaseUpTo(SimTime cutoff, SimTime barrier) {
   }
   released_total_ += batch.size();
   released_counter_->Add(batch.size());
-  if (lg) {
-    // Simulated hold times ride along as args: the analyzer's output-hold
-    // percentiles come from these per-release samples.
-    ledger.StampHere(
-        -1, "output_release", l0, ledger.NowMs(), "epoch_commit",
-        {{"released", static_cast<double>(batch.size())},
-         {"hold_max_us", hold_us_max},
-         {"hold_mean_us",
-          batch.empty() ? 0.0 : hold_us_sum / static_cast<double>(batch.size())}});
-  }
+  // Simulated hold times ride along as args: the analyzer's output-hold
+  // percentiles come from these per-release samples.
+  const double released = static_cast<double>(batch.size());
+  span.Arg("released", released);
+  span.Arg("hold_max_us", hold_us_max);
+  span.Arg("hold_mean_us", batch.empty() ? 0.0 : hold_us_sum / released);
   return batch.size();
 }
 

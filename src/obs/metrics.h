@@ -81,7 +81,7 @@ class Histogram {
   static double BucketUpperBound(size_t i);
 
   // p-th percentile (p in [0, 100]) resolved to the upper bound of the
-  // bucket containing that rank. 0 when empty.
+  // bucket containing that rank, clamped to [min(), max()]. 0 when empty.
   double ApproxPercentile(double p) const;
 
   void Reset();

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -13,225 +14,370 @@ namespace obs {
 
 namespace {
 
+struct Binding {
+  uint32_t shard = 0;
+  uint64_t epoch = 0;
+  bool bound = false;
+};
+
+thread_local Binding t_binding;
+
+// Span ids: the shard's placement sequence above, shard index + 1 below.
+constexpr int kShardBits = 6;
+static_assert(TraceSession::kShards < (1u << kShardBits));
+
+SpanId MakeId(uint32_t shard, uint64_t seq) {
+  return (seq << kShardBits) | (shard + 1);
+}
+uint32_t IdShard(SpanId id) {
+  return static_cast<uint32_t>(id & ((1u << kShardBits) - 1)) - 1;
+}
+uint64_t IdSeq(SpanId id) { return id >> kShardBits; }
+
 std::function<void(const std::string&)>& AuditDumpSink() {
   static std::function<void(const std::string&)> sink;
   return sink;
 }
 
-}  // namespace
-
-TraceSession& TraceSession::Global() {
-  static TraceSession* session = new TraceSession();
-  return *session;
+void WriteDump(const std::string& text) {
+  if (AuditDumpSink()) {
+    AuditDumpSink()(text);
+  } else {
+    std::fputs(text.c_str(), stderr);
+  }
 }
+
+// `"key": value` pairs, comma-separated — the body of a JSON args object.
+void FormatArgs(const TraceRecord& rec, std::string* out) {
+  char buf[160];
+  for (uint8_t a = 0; a < rec.nargs; ++a) {
+    std::snprintf(buf, sizeof buf, "%s\"%s\": %.6g", a ? ", " : "",
+                  rec.args[a].key, rec.args[a].value);
+    *out += buf;
+  }
+}
+
+void FormatRecord(const TraceRecord& rec, std::string* out) {
+  char buf[256];
+  if (!rec.has_sim()) {
+    std::snprintf(buf, sizeof buf, "  [%s] %s @ wall %.3f ms %s%.3f ms",
+                  rec.track, rec.name, rec.wall_begin_ms,
+                  rec.open() ? "(open) " : "dur ",
+                  rec.open() ? 0.0 : rec.wall_end_ms - rec.wall_begin_ms);
+  } else if (rec.kind == 1) {
+    std::snprintf(buf, sizeof buf, "  [%s] %s @ %.3f us", rec.track, rec.name,
+                  ToMicroseconds(rec.sim_begin));
+  } else if (rec.open()) {
+    std::snprintf(buf, sizeof buf, "  [%s] %s @ %.3f us (open)", rec.track,
+                  rec.name, ToMicroseconds(rec.sim_begin));
+  } else {
+    std::snprintf(buf, sizeof buf, "  [%s] %s @ %.3f us dur %.3f us",
+                  rec.track, rec.name, ToMicroseconds(rec.sim_begin),
+                  ToMicroseconds(rec.sim_end - rec.sim_begin));
+  }
+  *out += buf;
+  for (uint8_t a = 0; a < rec.nargs; ++a) {
+    std::snprintf(buf, sizeof buf, " %s=%.6g", rec.args[a].key,
+                  rec.args[a].value);
+    *out += buf;
+  }
+  *out += '\n';
+}
+
+}  // namespace
 
 void TraceSession::StartFull() {
   Clear();
-  mode_ = Mode::kFull;
+  capacity_ = 0;
+  base_ = std::chrono::steady_clock::now();
+  owner_.store(std::this_thread::get_id(), std::memory_order_relaxed);
+  mode_.store(Mode::kFull, std::memory_order_relaxed);
 }
 
-void TraceSession::StartRing(size_t capacity) {
-  Clear();
-  mode_ = Mode::kRing;
-  capacity_ = capacity > 0 ? capacity : 1;
-  records_.reserve(capacity_);
+void TraceSession::StartRing(size_t capacity_per_shard) {
+  StartFull();
+  capacity_ = capacity_per_shard > 0 ? capacity_per_shard : 1;
+  mode_.store(Mode::kRing, std::memory_order_relaxed);
 }
-
-void TraceSession::Stop() { mode_ = Mode::kOff; }
 
 void TraceSession::Clear() {
-  records_.clear();
-  next_id_ = 1;
-  dropped_ = 0;
-  last_time_ = 0;
-  tracks_.clear();
-  track_index_.clear();
-}
-
-uint32_t TraceSession::InternTrack(const std::string& track) {
-  auto it = track_index_.find(track);
-  if (it != track_index_.end()) {
-    return it->second;
+  Stop();
+  unbound_drops_.store(0, std::memory_order_relaxed);
+  for (Shard& shard : shards_) {
+    shard.records.clear();
+    shard.placed = 0;
+    shard.last_sim = 0;
+    shard.tracks.clear();
   }
-  const uint32_t index = static_cast<uint32_t>(tracks_.size());
-  tracks_.push_back(track);
-  track_index_.emplace(track, index);
-  return index;
 }
 
-TraceSession::Record* TraceSession::Place(Record rec) {
-  rec.id = next_id_++;
-  if (mode_ == Mode::kRing && records_.size() >= capacity_) {
-    const size_t slot = static_cast<size_t>((rec.id - 1) % capacity_);
-    ++dropped_;
-    records_[slot] = rec;
-    return &records_[slot];
+void TraceSession::BindThread(uint32_t shard, uint64_t epoch) {
+  t_binding = Binding{shard, epoch, true};
+}
+
+void TraceSession::UnbindThread() { t_binding = Binding{}; }
+
+uint64_t TraceSession::BoundEpoch() {
+  return t_binding.bound ? t_binding.epoch : 0;
+}
+
+ThreadBinding::ThreadBinding(uint32_t shard, uint64_t epoch)
+    : shard_(t_binding.shard),
+      epoch_(t_binding.epoch),
+      bound_(t_binding.bound) {
+  TraceSession::BindThread(shard, epoch);
+}
+
+ThreadBinding::~ThreadBinding() { t_binding = Binding{shard_, epoch_, bound_}; }
+
+uint32_t TraceSession::CallerShard() const {
+  if (t_binding.bound) {
+    return std::min(t_binding.shard, kShards);
   }
-  records_.push_back(rec);
-  return &records_.back();
+  return owner_.load(std::memory_order_relaxed) == std::this_thread::get_id()
+             ? kCoordinatorShard
+             : kShards;
 }
 
-TraceSession::Record* TraceSession::Find(SpanId id) {
-  if (id == 0 || records_.empty()) {
+TraceRecord* TraceSession::Place(std::string_view track, const char* name,
+                                 const char* cause, uint8_t kind, SimTime t,
+                                 std::initializer_list<TraceArg> args) {
+  const uint32_t index = CallerShard();
+  if (index >= kShards) {
+    // No shard this thread may write without racing its owner: dropping
+    // (counted) beats breaking the single-writer discipline.
+    unbound_drops_.fetch_add(1, std::memory_order_relaxed);
     return nullptr;
   }
-  size_t slot;
-  if (mode_ == Mode::kRing) {
-    slot = static_cast<size_t>((id - 1) % capacity_);
-    if (slot >= records_.size()) {
-      return nullptr;
+  Shard& shard = shards_[index];
+  TraceRecord rec;
+  rec.id = MakeId(index, shard.placed);
+  auto it = shard.tracks.find(track);
+  if (it == shard.tracks.end()) {
+    it = shard.tracks.emplace(track).first;
+  }
+  rec.track = it->c_str();
+  rec.name = name;
+  rec.cause = cause;
+  rec.kind = kind;
+  if (t_binding.bound) {
+    rec.epoch = t_binding.epoch;
+    rec.partition =
+        index < kMaxPartitionShards ? static_cast<int32_t>(index) : -1;
+  }
+  if (t == kShardSimTime) {
+    t = shard.last_sim;
+  } else if (t != kNoSimTime) {
+    shard.last_sim = std::max(shard.last_sim, t);
+  }
+  rec.sim_begin = t;
+  rec.wall_begin_ms = NowMs();
+  for (const TraceArg& arg : args) {
+    if (rec.nargs < TraceRecord::kMaxArgs) {
+      rec.args[rec.nargs++] = arg;
     }
+  }
+  TraceRecord* slot;
+  if (capacity_ > 0 && shard.records.size() >= capacity_) {
+    slot = &shard.records[shard.placed % capacity_];
+    *slot = rec;
   } else {
-    if (id - 1 >= records_.size()) {
-      return nullptr;
-    }
-    slot = static_cast<size_t>(id - 1);
+    shard.records.push_back(rec);
+    slot = &shard.records.back();
   }
-  Record* rec = &records_[slot];
-  return rec->id == id ? rec : nullptr;  // stale ids were overwritten
+  ++shard.placed;
+  return slot;
 }
 
-const TraceSession::Record* TraceSession::ChronoRecord(size_t i) const {
-  if (mode_ == Mode::kRing && records_.size() >= capacity_) {
-    // The buffer is full: the oldest surviving record is the one the next
-    // Place would overwrite.
-    const size_t start = static_cast<size_t>((next_id_ - 1) % capacity_);
-    return &records_[(start + i) % capacity_];
+TraceRecord* TraceSession::Find(SpanId id) {
+  if (id == 0 || IdShard(id) != CallerShard()) {
+    return nullptr;
   }
-  return &records_[i];
+  Shard& shard = shards_[IdShard(id)];
+  const uint64_t seq = IdSeq(id);
+  const size_t slot =
+      static_cast<size_t>(capacity_ > 0 ? seq % capacity_ : seq);
+  if (slot >= shard.records.size() || shard.records[slot].id != id) {
+    return nullptr;  // stale ids were overwritten
+  }
+  return &shard.records[slot];
 }
 
-SpanId TraceSession::BeginSpan(const std::string& track, const char* name, SimTime t) {
+const TraceRecord& TraceSession::Chrono(const Shard& shard, size_t i) const {
+  if (capacity_ > 0 && shard.records.size() >= capacity_) {
+    // The ring is full: the oldest survivor is the next one to overwrite.
+    return shard.records[(shard.placed + i) % capacity_];
+  }
+  return shard.records[i];
+}
+
+SpanId TraceSession::BeginSpan(std::string_view track, const char* name,
+                               SimTime t, const char* cause) {
   if (!enabled()) {
     return 0;
   }
-  Note(t);
-  Record rec;
-  rec.track = InternTrack(track);
-  rec.kind = 0;
-  rec.name = name;
-  rec.begin = t;
-  rec.end = -1;
-  return Place(rec)->id;
+  TraceRecord* rec = Place(track, name, cause, 0, t, {});
+  return rec != nullptr ? rec->id : 0;
 }
 
 void TraceSession::EndSpan(SpanId id, SimTime t) {
-  Record* rec = Find(id);
-  if (rec == nullptr || rec->kind != 0 || rec->end >= 0) {
+  TraceRecord* rec = Find(id);
+  if (rec == nullptr || rec->kind != 0 || !rec->open()) {
     return;
   }
-  Note(t);
-  rec->end = t >= rec->begin ? t : rec->begin;
+  rec->wall_end_ms = NowMs();
+  if (rec->has_sim()) {
+    if (t == kNoSimTime || t == kShardSimTime) {
+      t = rec->sim_begin;  // no sim end given: the span took no sim time
+    }
+    Shard& shard = shards_[IdShard(id)];
+    shard.last_sim = std::max(shard.last_sim, t);
+    rec->sim_end = std::max(t, rec->sim_begin);
+  }
 }
 
 void TraceSession::AddSpanArg(SpanId id, const char* key, double value) {
-  Record* rec = Find(id);
-  if (rec == nullptr || rec->nargs >= kMaxArgs) {
-    return;
+  TraceRecord* rec = Find(id);
+  if (rec != nullptr && rec->nargs < TraceRecord::kMaxArgs) {
+    rec->args[rec->nargs++] = TraceArg{key, value};
   }
-  rec->args[rec->nargs++] = TraceArg{key, value};
 }
 
-void TraceSession::Instant(const std::string& track, const char* name, SimTime t,
+void TraceSession::SetSpanPartition(SpanId id, int32_t partition) {
+  if (TraceRecord* rec = Find(id)) {
+    rec->partition = partition;
+  }
+}
+
+void TraceSession::Instant(std::string_view track, const char* name, SimTime t,
                            std::initializer_list<TraceArg> args) {
-  if (!enabled()) {
-    return;
+  if (TraceRecord* rec = enabled() ? Place(track, name, "", 1, t, args)
+                                   : nullptr) {
+    rec->sim_end = rec->sim_begin;
+    rec->wall_end_ms = rec->wall_begin_ms;
   }
-  Note(t);
-  Record rec;
-  rec.track = InternTrack(track);
-  rec.kind = 1;
-  rec.name = name;
-  rec.begin = t;
-  rec.end = t;
-  for (const TraceArg& arg : args) {
-    if (rec.nargs >= kMaxArgs) {
-      break;
-    }
-    rec.args[rec.nargs++] = arg;
-  }
-  Place(rec);
 }
 
-void TraceSession::SortedView(std::vector<uint32_t>* tid_map,
-                              std::vector<const Record*>* ordered) const {
-  // Track ids by sorted name: interning order depends on which thread first
-  // touched a track, which is not stable across runs of a parallel workload.
-  std::vector<std::string> names(tracks_);
-  std::sort(names.begin(), names.end());
-  tid_map->resize(tracks_.size());
-  for (size_t i = 0; i < tracks_.size(); ++i) {
-    (*tid_map)[i] = static_cast<uint32_t>(
-        std::lower_bound(names.begin(), names.end(), tracks_[i]) -
-        names.begin());
+void TraceSession::Stamp(std::string_view track, const char* name,
+                         const char* cause, double wall_begin_ms,
+                         double wall_end_ms,
+                         std::initializer_list<TraceArg> args) {
+  if (TraceRecord* rec =
+          enabled() ? Place(track, name, cause, 0, kNoSimTime, args)
+                    : nullptr) {
+    rec->wall_begin_ms = wall_begin_ms;
+    rec->wall_end_ms = wall_end_ms;
   }
-  ordered->reserve(records_.size());
-  for (size_t i = 0; i < records_.size(); ++i) {
-    ordered->push_back(ChronoRecord(i));
+}
+
+SimTime TraceSession::LastSimTime() const {
+  const uint32_t index = CallerShard();
+  return index < kShards ? shards_[index].last_sim : 0;
+}
+
+size_t TraceSession::recorded() const {
+  size_t n = 0;
+  for (const Shard& shard : shards_) {
+    n += shard.records.size();
   }
-  std::stable_sort(ordered->begin(), ordered->end(),
-                   [&](const Record* a, const Record* b) {
-                     const uint32_t ta = (*tid_map)[a->track];
-                     const uint32_t tb = (*tid_map)[b->track];
-                     if (ta != tb) return ta < tb;
-                     if (a->begin != b->begin) return a->begin < b->begin;
+  return n;
+}
+
+uint64_t TraceSession::total_events() const {
+  uint64_t n = 0;
+  for (const Shard& shard : shards_) {
+    n += shard.placed;
+  }
+  return n;
+}
+
+uint64_t TraceSession::dropped() const {
+  return unbound_drops_.load(std::memory_order_relaxed) + total_events() -
+         recorded();
+}
+
+std::vector<const TraceRecord*> TraceSession::Held(
+    bool (*keep)(const TraceRecord&)) const {
+  // Shard order and each shard's emission order are fixed, so a stable sort
+  // of this concatenation is deterministic whatever the interleaving.
+  std::vector<const TraceRecord*> out;
+  for (const Shard& shard : shards_) {
+    for (size_t i = 0; i < shard.records.size(); ++i) {
+      if (keep(Chrono(shard, i))) {
+        out.push_back(&Chrono(shard, i));
+      }
+    }
+  }
+  return out;
+}
+
+std::vector<const TraceRecord*> TraceSession::SimRecordsSorted() const {
+  // Track names, not intern order, lead.
+  std::vector<const TraceRecord*> out =
+      Held([](const TraceRecord& rec) { return rec.has_sim(); });
+  std::stable_sort(out.begin(), out.end(),
+                   [](const TraceRecord* a, const TraceRecord* b) {
+                     const int c = std::strcmp(a->track, b->track);
+                     if (c != 0) return c < 0;
+                     if (a->sim_begin != b->sim_begin) {
+                       return a->sim_begin < b->sim_begin;
+                     }
                      return a->id < b->id;
                    });
+  return out;
 }
 
 std::string TraceSession::ExportChromeJson() const {
-  std::ostringstream out;
+  const std::vector<const TraceRecord*> ordered = SimRecordsSorted();
+  std::vector<const char*> tracks;  // sorted, unique: index = tid
+  for (const TraceRecord* rec : ordered) {
+    if (tracks.empty() || std::strcmp(tracks.back(), rec->track) != 0) {
+      tracks.push_back(rec->track);
+    }
+  }
+  std::string out = "{\"displayTimeUnit\": \"ms\",\n\"traceEvents\": [\n";
   char buf[256];
-  std::vector<uint32_t> tid_map;
-  std::vector<const Record*> ordered;
-  SortedView(&tid_map, &ordered);
-  std::vector<std::string> names(tracks_);
-  std::sort(names.begin(), names.end());
-  out << "{\"displayTimeUnit\": \"ms\",\n\"traceEvents\": [\n";
-  bool first = true;
-  for (size_t i = 0; i < names.size(); ++i) {
+  const char* sep = "";
+  for (size_t i = 0; i < tracks.size(); ++i) {
     std::snprintf(buf, sizeof buf,
                   "%s{\"ph\": \"M\", \"pid\": 0, \"tid\": %zu, \"name\": "
                   "\"thread_name\", \"args\": {\"name\": \"%s\"}}",
-                  first ? "" : ",\n", i, names[i].c_str());
-    out << buf;
-    first = false;
+                  sep, i, tracks[i]);
+    out += buf;
+    sep = ",\n";
   }
-  for (const Record* rp : ordered) {
-    const Record& rec = *rp;
-    const bool open = rec.kind == 0 && rec.end < 0;
-    const double ts = ToMicroseconds(rec.begin);
-    const uint32_t tid = tid_map[rec.track];
-    if (rec.kind == 1) {
+  size_t tid = 0;
+  for (const TraceRecord* rec : ordered) {
+    while (std::strcmp(tracks[tid], rec->track) != 0) {
+      ++tid;
+    }
+    const bool open = rec->kind == 0 && rec->open();
+    if (rec->kind == 1) {
       std::snprintf(buf, sizeof buf,
-                    "%s{\"ph\": \"i\", \"s\": \"t\", \"pid\": 0, \"tid\": %u, "
+                    "%s{\"ph\": \"i\", \"s\": \"t\", \"pid\": 0, \"tid\": %zu, "
                     "\"cat\": \"tcsim\", \"name\": \"%s\", \"ts\": %.3f",
-                    first ? "" : ",\n", tid, rec.name, ts);
+                    sep, tid, rec->name, ToMicroseconds(rec->sim_begin));
     } else {
-      const double dur = open ? 0.0 : ToMicroseconds(rec.end - rec.begin);
       std::snprintf(buf, sizeof buf,
-                    "%s{\"ph\": \"X\", \"pid\": 0, \"tid\": %u, \"cat\": "
+                    "%s{\"ph\": \"X\", \"pid\": 0, \"tid\": %zu, \"cat\": "
                     "\"tcsim\", \"name\": \"%s\", \"ts\": %.3f, \"dur\": %.3f",
-                    first ? "" : ",\n", tid, rec.name, ts, dur);
+                    sep, tid, rec->name, ToMicroseconds(rec->sim_begin),
+                    open ? 0.0 : ToMicroseconds(rec->sim_end - rec->sim_begin));
     }
-    out << buf;
-    first = false;
-    if (rec.nargs > 0 || open) {
-      out << ", \"args\": {";
-      for (uint8_t a = 0; a < rec.nargs; ++a) {
-        std::snprintf(buf, sizeof buf, "%s\"%s\": %.6g", a ? ", " : "",
-                      rec.args[a].key, rec.args[a].value);
-        out << buf;
-      }
+    out += buf;
+    sep = ",\n";
+    if (rec->nargs > 0 || open) {
+      out += ", \"args\": {";
+      FormatArgs(*rec, &out);
       if (open) {
-        out << (rec.nargs ? ", " : "") << "\"open\": 1";
+        out += rec->nargs ? ", \"open\": 1" : "\"open\": 1";
       }
-      out << "}";
+      out += "}";
     }
-    out << "}";
+    out += "}";
   }
-  out << "\n]}\n";
-  return out.str();
+  out += "\n]}\n";
+  return out;
 }
 
 std::string TraceSession::ExportSummaryTable() const {
@@ -242,15 +388,13 @@ std::string TraceSession::ExportSummaryTable() const {
     bool instant = true;
   };
   std::map<std::pair<std::string, std::string>, Agg> by_name;
-  for (size_t i = 0; i < records_.size(); ++i) {
-    const Record& rec = *ChronoRecord(i);
-    Agg& agg = by_name[{tracks_[rec.track], rec.name}];
+  for (const TraceRecord* rec : SimRecordsSorted()) {
+    Agg& agg = by_name[{rec->track, rec->name}];
     ++agg.count;
-    if (rec.kind == 0 && rec.end >= 0) {
+    if (rec->kind == 0 && !rec->open()) {
       agg.instant = false;
-      const SimTime dur = rec.end - rec.begin;
-      agg.total += dur;
-      agg.max = std::max(agg.max, dur);
+      agg.total += rec->sim_end - rec->sim_begin;
+      agg.max = std::max(agg.max, rec->sim_end - rec->sim_begin);
     }
   }
   std::ostringstream out;
@@ -277,55 +421,94 @@ std::string TraceSession::ExportSummaryTable() const {
   return out.str();
 }
 
-void TraceSession::FormatRecord(const Record& rec,
-                                const std::vector<std::string>& tracks,
-                                std::string* out) {
-  char buf[192];
-  if (rec.kind == 1) {
-    std::snprintf(buf, sizeof buf, "  [%s] %s @ %.3f us", tracks[rec.track].c_str(),
-                  rec.name, ToMicroseconds(rec.begin));
-  } else if (rec.end < 0) {
-    std::snprintf(buf, sizeof buf, "  [%s] %s @ %.3f us (open)",
-                  tracks[rec.track].c_str(), rec.name, ToMicroseconds(rec.begin));
-  } else {
-    std::snprintf(buf, sizeof buf, "  [%s] %s @ %.3f us dur %.3f us",
-                  tracks[rec.track].c_str(), rec.name, ToMicroseconds(rec.begin),
-                  ToMicroseconds(rec.end - rec.begin));
+int TraceSession::PhaseRank(const char* phase) {
+  // The serial chain first (in pipeline order), then the parallel freeze /
+  // capture details, then the overlapped background commit's internals.
+  static constexpr const char* kOrder[] = {
+      "epoch",          "window",           "commit_wait",
+      "freeze",         "capture",          "spill",
+      "commit_launch",  "epoch_commit",     "output_release",
+      "failover",       "freeze.partition", "capture.partition",
+      "commit",         "serialize.partition", "repo.hash_wait",
+      "repo.append",    "repo.fsync",       "repo.journal",
+  };
+  const int n = static_cast<int>(sizeof(kOrder) / sizeof(kOrder[0]));
+  for (int i = 0; i < n; ++i) {
+    if (std::strcmp(phase, kOrder[i]) == 0) {
+      return i;
+    }
   }
-  *out += buf;
-  for (uint8_t a = 0; a < rec.nargs; ++a) {
-    std::snprintf(buf, sizeof buf, " %s=%.6g", rec.args[a].key, rec.args[a].value);
-    *out += buf;
+  return n;
+}
+
+std::vector<TraceRecord> TraceSession::LedgerRecords() const {
+  std::vector<TraceRecord> out;
+  for (const TraceRecord* rec :
+       Held([](const TraceRecord& r) { return r.epoch != 0; })) {
+    out.push_back(*rec);
   }
-  *out += '\n';
+  std::stable_sort(out.begin(), out.end(),
+                   [](const TraceRecord& a, const TraceRecord& b) {
+                     if (a.epoch != b.epoch) return a.epoch < b.epoch;
+                     const int ra = PhaseRank(a.name);
+                     const int rb = PhaseRank(b.name);
+                     if (ra != rb) return ra < rb;
+                     return a.partition < b.partition;
+                   });
+  return out;
+}
+
+std::string TraceSession::ExportJsonl() const {
+  std::string out;
+  char buf[256];
+  for (const TraceRecord& rec : LedgerRecords()) {
+    std::snprintf(buf, sizeof buf,
+                  "{\"epoch\": %llu, \"partition\": %d, \"phase\": \"%s\", "
+                  "\"begin_ms\": %.6f, \"end_ms\": %.6f, \"cause\": \"%s\"",
+                  static_cast<unsigned long long>(rec.epoch), rec.partition,
+                  rec.name, rec.wall_begin_ms, rec.wall_end_ms, rec.cause);
+    out += buf;
+    if (rec.nargs > 0) {
+      out += ", \"args\": {";
+      FormatArgs(rec, &out);
+      out += "}";
+    }
+    out += "}\n";
+  }
+  return out;
+}
+
+bool TraceSession::WriteJsonl(const std::string& path) const {
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  if (f == nullptr) {
+    return false;
+  }
+  const std::string text = ExportJsonl();
+  const bool ok = std::fwrite(text.data(), 1, text.size(), f) == text.size();
+  return std::fclose(f) == 0 && ok;
 }
 
 std::string TraceSession::DumpTail(size_t n) const {
-  const size_t held = records_.size();
-  const size_t start = held > n ? held - n : 0;
+  const uint32_t index = CallerShard();
   std::string out;
-  for (size_t i = start; i < held; ++i) {
-    FormatRecord(*ChronoRecord(i), tracks_, &out);
+  if (index >= kShards) {
+    return out;
+  }
+  const Shard& shard = shards_[index];
+  const size_t held = shard.records.size();
+  for (size_t i = held > n ? held - n : 0; i < held; ++i) {
+    FormatRecord(Chrono(shard, i), &out);
   }
   return out;
 }
 
 void TraceSession::DumpRingNow(const char* reason, size_t tail) const {
-  if (mode_ != Mode::kRing) {
+  if (mode() != Mode::kRing) {
     return;
   }
-  std::ostringstream out;
-  out << "=== flight recorder: " << reason << " ===\n";
-  if (recorded() == 0) {
-    out << "  (no telemetry records held)\n";
-  } else {
-    out << DumpTail(tail);
-  }
-  if (AuditDumpSink()) {
-    AuditDumpSink()(out.str());
-  } else {
-    std::fputs(out.str().c_str(), stderr);
-  }
+  const std::string records = DumpTail(tail);
+  WriteDump(std::string("=== flight recorder: ") + reason + " ===\n" +
+            (records.empty() ? "  (no telemetry records held)\n" : records));
 }
 
 void TraceSession::SetAuditDumpSink(std::function<void(const std::string&)> sink) {
@@ -340,21 +523,13 @@ void TraceSession::InstallAuditDump(size_t tail) {
           return;
         }
         *dumped = true;
-        const TraceSession& session = TraceSession::Global();
         std::ostringstream out;
         out << "=== flight recorder: invariant [" << violation.invariant
             << "] violated at t=" << ToSeconds(violation.time)
             << "s: " << violation.detail << " ===\n";
-        if (session.recorded() == 0) {
-          out << "  (no telemetry records held)\n";
-        } else {
-          out << session.DumpTail(tail);
-        }
-        if (AuditDumpSink()) {
-          AuditDumpSink()(out.str());
-        } else {
-          std::fputs(out.str().c_str(), stderr);
-        }
+        const std::string records = TraceSession::Global().DumpTail(tail);
+        out << (records.empty() ? "  (no telemetry records held)\n" : records);
+        WriteDump(out.str());
       });
 }
 

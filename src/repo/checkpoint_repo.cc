@@ -6,7 +6,6 @@
 #include <filesystem>
 #include <utility>
 
-#include "src/obs/epoch_ledger.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace_session.h"
 #include "src/sim/archive.h"
@@ -17,9 +16,9 @@ namespace tcsim {
 namespace {
 
 // Repository counters, resolved once on first use. The repository has no
-// simulator of its own; trace instants are stamped with the trace session's
-// last-seen sim time (repo I/O happens inside a capture event, so that is
-// the causally enclosing instant).
+// simulator of its own; its spans and instants take the recording thread's
+// latest sim time (repo I/O happens inside a capture event, so that is the
+// causally enclosing instant).
 obs::Counter* RepoCounter(const char* name) {
   return obs::MetricsRegistry::Global().FindCounter(name);
 }
@@ -416,12 +415,9 @@ CheckpointRepo::BatchCommitResult CheckpointRepo::CommitBatch(
   // From here the batch is quiescent: staging has stopped (the caller handed
   // over ownership) and WaitHashed() synchronizes with the last hash task,
   // so every entry is plain data owned by this thread.
-  obs::EpochLedger& ledger = obs::EpochLedger::Global();
-  const bool lg = ledger.enabled();
-  const double lh0 = lg ? ledger.NowMs() : 0.0;
-  batch->WaitHashed();
-  if (lg) {
-    ledger.StampHere(-1, "repo.hash_wait", lh0, ledger.NowMs(), "hash_pool");
+  {
+    obs::Span wait("repo", "repo.hash_wait", "hash_pool", obs::kShardSimTime);
+    batch->WaitHashed();
   }
   std::vector<std::unique_ptr<RepoWriteBatch::Entry>>& entries =
       batch->entries_;
@@ -432,10 +428,6 @@ CheckpointRepo::BatchCommitResult CheckpointRepo::CommitBatch(
     error_.clear();
     return result;
   }
-
-  obs::TraceSession& trace = obs::TraceSession::Global();
-  const obs::SpanId span =
-      trace.BeginSpan("repo", "repo.commit", trace.LastTime());
 
   // Deterministic publication order: (sequence, ticket). Handles, segment
   // offsets, and the journal record depend only on this order, so a run
@@ -457,7 +449,7 @@ CheckpointRepo::BatchCommitResult CheckpointRepo::CommitBatch(
   std::map<uint64_t, uint64_t> ticket_handle;  // ticket -> assigned handle
   std::map<ContentKey, uint64_t> staged_offsets;  // appended this commit
   uint64_t dedup_hits = 0;
-  const double la0 = lg ? ledger.NowMs() : 0.0;
+  obs::Span append("repo", "repo.append", "segment", obs::kShardSimTime);
 
   for (RepoWriteBatch::Entry* e : order) {
     if (!e->parsed_ok) {
@@ -578,21 +570,23 @@ CheckpointRepo::BatchCommitResult CheckpointRepo::CommitBatch(
     staged.emplace(handle, std::move(rec));
   }
 
-  if (lg) {
-    ledger.StampHere(-1, "repo.append", la0, ledger.NowMs(), "segment");
-  }
+  append.Arg("images", static_cast<double>(staged.size()));
+  append.Arg("staged_bytes", static_cast<double>(result.staged_bytes));
+  append.Arg("appended_bytes",
+             static_cast<double>(result.appended_payload_bytes));
+  append.End();
 
   // Group commit: one segment flush covers every payload appended above,
   // then one CRC-framed journal record publishes the epoch atomically —
   // recovery either replays all of it or (torn tail) none of it.
-  const double lf0 = lg ? ledger.NowMs() : 0.0;
-  if (err.empty() && !segment_->Flush(options_.fsync)) {
-    err = "segment flush failed";
+  {
+    obs::Span flush("repo", "repo.fsync", "segment_flush", obs::kShardSimTime);
+    if (err.empty() && !segment_->Flush(options_.fsync)) {
+      err = "segment flush failed";
+    }
   }
-  if (lg) {
-    ledger.StampHere(-1, "repo.fsync", lf0, ledger.NowMs(), "segment_flush");
-  }
-  const double lj0 = lg ? ledger.NowMs() : 0.0;
+  obs::Span journal("repo", "repo.journal", "journal_fsync",
+                    obs::kShardSimTime);
   if (err.empty()) {
     ArchiveWriter w;
     w.Write<uint64_t>(staged.size());
@@ -612,17 +606,16 @@ CheckpointRepo::BatchCommitResult CheckpointRepo::CommitBatch(
       append_bytes->Add(payload.size());
     }
   }
-  if (lg) {
-    ledger.StampHere(-1, "repo.journal", lj0, ledger.NowMs(), "journal_fsync");
+  if (!err.empty()) {
+    journal.Arg("failed", 1.0);
   }
+  journal.End();
 
   if (!err.empty()) {
     error_ = err;
     result.error = err;
     static obs::Counter* const failed = RepoCounter("repo.batch.failed_commits");
     failed->Increment();
-    trace.AddSpanArg(span, "failed", 1.0);
-    trace.EndSpan(span, trace.LastTime());
     return result;
   }
 
@@ -669,12 +662,6 @@ CheckpointRepo::BatchCommitResult CheckpointRepo::CommitBatch(
 
   result.ok = true;
   error_.clear();
-  trace.AddSpanArg(span, "images", static_cast<double>(result.images));
-  trace.AddSpanArg(span, "staged_bytes",
-                   static_cast<double>(result.staged_bytes));
-  trace.AddSpanArg(span, "appended_bytes",
-                   static_cast<double>(result.appended_payload_bytes));
-  trace.EndSpan(span, trace.LastTime());
   return result;
 }
 
@@ -784,9 +771,9 @@ size_t CheckpointRepo::CompactChains(size_t max_depth) {
     RebuildRetention();
     static obs::Counter* const folded_counter = RepoCounter("repo.compact.folded");
     folded_counter->Add(folded);
-    obs::TraceSession& trace = obs::TraceSession::Global();
-    trace.Instant("repo", "repo.compact", trace.LastTime(),
-                  {{"folded", static_cast<double>(folded)}});
+    obs::TraceSession::Global().Instant(
+        "repo", "repo.compact", obs::kShardSimTime,
+        {{"folded", static_cast<double>(folded)}});
   }
   return folded;
 }
@@ -909,10 +896,10 @@ CheckpointRepo::GcResult CheckpointRepo::CollectGarbage() {
   static obs::Counter* const gc_reclaimed = RepoCounter("repo.gc.reclaimed_bytes");
   gc_runs->Increment();
   gc_reclaimed->Add(result.reclaimed_bytes);
-  obs::TraceSession& trace = obs::TraceSession::Global();
-  trace.Instant("repo", "repo.gc", trace.LastTime(),
-                {{"reclaimed_bytes", static_cast<double>(result.reclaimed_bytes)},
-                 {"live_bytes", static_cast<double>(result.live_bytes)}});
+  obs::TraceSession::Global().Instant(
+      "repo", "repo.gc", obs::kShardSimTime,
+      {{"reclaimed_bytes", static_cast<double>(result.reclaimed_bytes)},
+       {"live_bytes", static_cast<double>(result.live_bytes)}});
   return result;
 }
 

@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <filesystem>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -403,6 +404,52 @@ TEST(HaObservabilityTest, TelemetryIsPerturbationFree) {
   obs::TraceSession::Global().Clear();
 }
 
+TEST(HaObservabilityTest, TracedAsyncRunWithRepoIsRaceFreeAndExact) {
+  // Async capture with a repository attached: the group commit records from
+  // the background commit thread while OnBarrier records on the coordinator
+  // thread. Each writes only its own shard (the TSan job runs this label),
+  // the repository phases carry real wall time, and the run's digests equal
+  // an untraced run's.
+  auto run = [](bool tracing) {
+    const std::string dir =
+        (fs::path(::testing::TempDir()) /
+         (tracing ? "tcsim_ha_traced_on" : "tcsim_ha_traced_off"))
+            .string();
+    fs::remove_all(dir);
+    std::string error;
+    auto repo = CheckpointRepo::Open(dir, RepoOptions{}, &error);
+    EXPECT_NE(repo, nullptr) << error;
+    if (tracing) {
+      obs::TraceSession::Global().StartFull();
+    } else {
+      obs::TraceSession::Global().Clear();
+    }
+    const HaRunResult r = RunHa(HaPolicy(1), nullptr, repo.get(), 40 * kPeriod);
+    obs::TraceSession::Global().Stop();
+    repo.reset();
+    fs::remove_all(dir);
+    return r;
+  };
+  const HaRunResult off = run(false);
+  const HaRunResult on = run(true);
+  EXPECT_EQ(on.events, off.events);
+  EXPECT_EQ(on.behavior, off.behavior);
+  EXPECT_EQ(on.captures, off.captures);
+  ExpectTraceIdentical(on.trace, off.trace);
+
+  std::map<std::string, double> wall_ms;
+  for (const obs::TraceRecord& rec :
+       obs::TraceSession::Global().LedgerRecords()) {
+    wall_ms[rec.name] += rec.wall_end_ms - rec.wall_begin_ms;
+  }
+  for (const char* phase :
+       {"repo.hash_wait", "repo.append", "repo.fsync", "repo.journal"}) {
+    EXPECT_GT(wall_ms[phase], 0.0) << phase;
+  }
+  EXPECT_EQ(obs::TraceSession::Global().dropped(), 0u);
+  obs::TraceSession::Global().Clear();
+}
+
 TEST(HaObservabilityTest, FailoverEmitsSpansAndMetrics) {
   obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
   reg.ResetAll();
@@ -419,8 +466,8 @@ TEST(HaObservabilityTest, FailoverEmitsSpansAndMetrics) {
   EXPECT_GT(reg.FindHistogram("ha.failover.recovery_ms")->count(), 0u);
   EXPECT_GT(reg.FindHistogram("ha.buffer.hold_time_us")->count(), 0u);
   const std::string table = obs::TraceSession::Global().ExportSummaryTable();
-  EXPECT_NE(table.find("ha.epoch_commit"), std::string::npos);
-  EXPECT_NE(table.find("ha.failover"), std::string::npos);
+  EXPECT_NE(table.find("epoch_commit"), std::string::npos);
+  EXPECT_NE(table.find("failover"), std::string::npos);
   obs::TraceSession::Global().Clear();
   reg.ResetAll();
 }
@@ -449,7 +496,7 @@ TEST(HaObservabilityTest, FlightRecorderDumpsOnRecoveryStart) {
   EXPECT_NE(dumps[0].find("failover recovery start"), std::string::npos);
   EXPECT_NE(dumps[0].find("flight recorder"), std::string::npos);
   // The dump carries the pre-fault timeline (epoch commits lead the ring).
-  EXPECT_NE(dumps[0].find("ha.epoch_commit"), std::string::npos) << dumps[0];
+  EXPECT_NE(dumps[0].find("epoch_commit"), std::string::npos) << dumps[0];
 
   dumps.clear();
   obs::TraceSession::Global().StartFull();

@@ -1,4 +1,5 @@
-// Tests for the epoch critical-path ledger (src/obs/epoch_ledger) and the
+// Tests for the epoch critical-path ledger — the recorder's epoch-bound
+// records and their JSONL exporter (src/obs/trace_session) — and the
 // attribution engine behind tools/tcsim_analyze (tools/analyze).
 //
 // The load-bearing assertions mirror the obs layer's charter: the ledger is
@@ -23,130 +24,123 @@
 #include "src/ha/fault_injector.h"
 #include "src/ha/micro_checkpointer.h"
 #include "src/net/topology.h"
-#include "src/obs/epoch_ledger.h"
+#include "src/obs/trace_session.h"
 #include "src/sim/time.h"
 #include "tools/analyze.h"
 
 namespace tcsim {
 namespace {
 
-using obs::EpochLedger;
-using obs::LedgerRecord;
+using obs::TraceRecord;
+using obs::TraceSession;
 using tools::AnalyzerRecord;
 using tools::EpochAnalysis;
 using tools::LedgerAnalysis;
 
-// The ledger is a process-wide singleton shared with the instrumented
+// The recorder is a process-wide singleton shared with the instrumented
 // layers; every test starts from (and leaves behind) a disabled, empty one.
 class LedgerTest : public ::testing::Test {
  protected:
-  void SetUp() override { EpochLedger::Global().Clear(); }
+  void SetUp() override { TraceSession::Global().Clear(); }
   void TearDown() override {
-    EpochLedger::UnbindThread();
-    EpochLedger::Global().Clear();
+    TraceSession::UnbindThread();
+    TraceSession::Global().Clear();
   }
 };
 
-LedgerRecord MakeRecord(uint64_t epoch, int32_t partition, const char* phase,
-                        double begin, double end, const char* cause) {
-  LedgerRecord rec;
-  rec.epoch = epoch;
-  rec.partition = partition;
-  rec.phase = phase;
-  rec.begin_ms = begin;
-  rec.end_ms = end;
-  rec.cause = cause;
-  return rec;
+// Records a finished phase as the thread bound to `shard` under `epoch`.
+void StampAs(uint32_t shard, uint64_t epoch, const char* phase, double begin,
+             double end, const char* cause) {
+  TraceSession::BindThread(shard, epoch);
+  TraceSession::Global().Stamp("test", phase, cause, begin, end);
+  TraceSession::UnbindThread();
 }
 
 // --- Stamp / merge mechanics --------------------------------------------------
 
 TEST_F(LedgerTest, MergeOrdersByEpochPhaseRankPartition) {
-  EpochLedger& ledger = EpochLedger::Global();
-  ledger.Enable();
+  TraceSession& ledger = TraceSession::Global();
+  ledger.StartFull();
   // Stamp out of order across shards: epoch 2 before epoch 1, partition
   // detail before the serial chain, commit shard before worker shards.
-  ledger.Stamp(EpochLedger::kCommitShard,
-               MakeRecord(2, -1, "commit", 5.0, 9.0, "background"));
-  ledger.Stamp(3, MakeRecord(1, 3, "freeze.partition", 1.0, 2.0, "snapshot"));
-  ledger.Stamp(EpochLedger::kCoordinatorShard,
-               MakeRecord(1, -1, "window", 0.0, 1.0, "barrier"));
-  ledger.Stamp(0, MakeRecord(1, 0, "freeze.partition", 1.0, 1.5, "snapshot"));
-  ledger.Stamp(EpochLedger::kCoordinatorShard,
-               MakeRecord(2, -1, "window", 3.0, 4.0, "barrier"));
-  ledger.Disable();
+  StampAs(TraceSession::kCommitShard, 2, "commit", 5.0, 9.0, "background");
+  StampAs(3, 1, "freeze.partition", 1.0, 2.0, "snapshot");
+  StampAs(TraceSession::kCoordinatorShard, 1, "window", 0.0, 1.0, "barrier");
+  StampAs(0, 1, "freeze.partition", 1.0, 1.5, "snapshot");
+  StampAs(TraceSession::kCoordinatorShard, 2, "window", 3.0, 4.0, "barrier");
+  ledger.Stop();
 
-  const std::vector<LedgerRecord> merged = ledger.Merged();
+  const std::vector<TraceRecord> merged = ledger.LedgerRecords();
   ASSERT_EQ(merged.size(), 5u);
-  EXPECT_STREQ(merged[0].phase, "window");
+  EXPECT_STREQ(merged[0].name, "window");
   EXPECT_EQ(merged[0].epoch, 1u);
-  EXPECT_STREQ(merged[1].phase, "freeze.partition");
+  EXPECT_STREQ(merged[1].name, "freeze.partition");
   EXPECT_EQ(merged[1].partition, 0);
-  EXPECT_STREQ(merged[2].phase, "freeze.partition");
+  EXPECT_STREQ(merged[2].name, "freeze.partition");
   EXPECT_EQ(merged[2].partition, 3);
   EXPECT_EQ(merged[3].epoch, 2u);
-  EXPECT_STREQ(merged[3].phase, "window");
-  EXPECT_STREQ(merged[4].phase, "commit");
+  EXPECT_STREQ(merged[3].name, "window");
+  EXPECT_STREQ(merged[4].name, "commit");
 
   // The serial chain ranks before partition detail, which ranks before the
   // background commit's internals; unknown phases rank last.
-  EXPECT_LT(EpochLedger::PhaseRank("window"), EpochLedger::PhaseRank("freeze"));
-  EXPECT_LT(EpochLedger::PhaseRank("capture"),
-            EpochLedger::PhaseRank("freeze.partition"));
-  EXPECT_LT(EpochLedger::PhaseRank("commit_launch"),
-            EpochLedger::PhaseRank("commit"));
-  EXPECT_LT(EpochLedger::PhaseRank("repo.append"),
-            EpochLedger::PhaseRank("no.such.phase"));
+  EXPECT_LT(TraceSession::PhaseRank("window"),
+            TraceSession::PhaseRank("freeze"));
+  EXPECT_LT(TraceSession::PhaseRank("capture"),
+            TraceSession::PhaseRank("freeze.partition"));
+  EXPECT_LT(TraceSession::PhaseRank("commit_launch"),
+            TraceSession::PhaseRank("commit"));
+  EXPECT_LT(TraceSession::PhaseRank("repo.append"),
+            TraceSession::PhaseRank("no.such.phase"));
 }
 
 TEST_F(LedgerTest, DisabledAndUnboundStampsNeverLand) {
-  EpochLedger& ledger = EpochLedger::Global();
+  TraceSession& ledger = TraceSession::Global();
   // Disabled: both entry points are no-ops and nothing counts as dropped.
-  ledger.Stamp(0, MakeRecord(1, 0, "window", 0.0, 1.0, "barrier"));
-  ledger.StampHere(0, "window", 0.0, 1.0, "barrier");
+  TraceSession::BindThread(0, 1);
+  ledger.Stamp("test", "window", "barrier", 0.0, 1.0);
+  { obs::Span span("test", "window", "barrier"); }
+  TraceSession::UnbindThread();
   EXPECT_EQ(ledger.recorded(), 0u);
   EXPECT_EQ(ledger.dropped(), 0u);
 
-  ledger.Enable();
-  // StampHere on an unbound thread has no shard it may write without racing
-  // the owner: the record is dropped, and the drop is counted.
-  EpochLedger::UnbindThread();
-  ledger.StampHere(0, "window", 0.0, 1.0, "barrier");
+  ledger.StartFull();
+  // A record from an unbound thread that did not start recording has no
+  // shard it may write without racing the owner: the record is dropped, and
+  // the drop is counted.
+  std::thread([&ledger] {
+    ledger.Stamp("test", "window", "barrier", 0.0, 1.0);
+  }).join();
   EXPECT_EQ(ledger.recorded(), 0u);
   EXPECT_EQ(ledger.dropped(), 1u);
-  EXPECT_EQ(EpochLedger::BoundEpoch(), 0u);
+  EXPECT_EQ(TraceSession::BoundEpoch(), 0u);
 
   // An out-of-range shard drops rather than writing past the array.
-  ledger.Stamp(EpochLedger::kShards,
-               MakeRecord(1, 0, "window", 0.0, 1.0, "barrier"));
+  StampAs(TraceSession::kShards, 1, "window", 0.0, 1.0, "barrier");
   EXPECT_EQ(ledger.dropped(), 2u);
 
   // Bound, the same stamp lands in the bound shard with the bound epoch.
-  EpochLedger::BindThread(EpochLedger::kCoordinatorShard, 7);
-  EXPECT_EQ(EpochLedger::BoundEpoch(), 7u);
-  ledger.StampHere(-1, "output_release", 1.0, 2.0, "epoch_commit",
-                   {{"released", 3.0}});
-  ledger.Disable();
-  const std::vector<LedgerRecord> merged = ledger.Merged();
+  TraceSession::BindThread(TraceSession::kCoordinatorShard, 7);
+  EXPECT_EQ(TraceSession::BoundEpoch(), 7u);
+  ledger.Stamp("test", "output_release", "epoch_commit", 1.0, 2.0,
+               {{"released", 3.0}});
+  ledger.Stop();
+  const std::vector<TraceRecord> merged = ledger.LedgerRecords();
   ASSERT_EQ(merged.size(), 1u);
   EXPECT_EQ(merged[0].epoch, 7u);
-  EXPECT_STREQ(merged[0].phase, "output_release");
+  EXPECT_STREQ(merged[0].name, "output_release");
   ASSERT_EQ(merged[0].nargs, 1u);
   EXPECT_DOUBLE_EQ(merged[0].args[0].value, 3.0);
 }
 
 TEST_F(LedgerTest, JsonlExportRoundTripsThroughAnalyzerParser) {
-  EpochLedger& ledger = EpochLedger::Global();
-  ledger.Enable();
-  ledger.Stamp(EpochLedger::kCoordinatorShard,
-               MakeRecord(1, -1, "window", 0.25, 1.75, "barrier"));
-  LedgerRecord rel = MakeRecord(1, -1, "output_release", 1.75, 1.8,
-                                "epoch_commit");
-  rel.args[0] = {"released", 12.0};
-  rel.args[1] = {"hold_max_us", 431.5};
-  rel.nargs = 2;
-  ledger.Stamp(EpochLedger::kCoordinatorShard, rel);
-  ledger.Disable();
+  TraceSession& ledger = TraceSession::Global();
+  ledger.StartFull();
+  TraceSession::BindThread(TraceSession::kCoordinatorShard, 1);
+  ledger.Stamp("test", "window", "barrier", 0.25, 1.75);
+  ledger.Stamp("test", "output_release", "epoch_commit", 1.75, 1.8,
+               {{"released", 12.0}, {"hold_max_us", 431.5}});
+  ledger.Stop();
 
   const std::string jsonl = ledger.ExportJsonl();
   std::istringstream lines(jsonl);
@@ -193,9 +187,9 @@ struct LedgerRunResult {
 LedgerRunResult RunCheckpointedFatTree(bool ledger_on, bool async_capture,
                                        uint32_t workers) {
   if (ledger_on) {
-    EpochLedger::Global().Enable();
+    TraceSession::Global().StartFull();
   } else {
-    EpochLedger::Global().Clear();
+    TraceSession::Global().Clear();
   }
   GeneratedTopologyParams params;
   auto topo = GeneratedTopology::Build(params, 4, workers);
@@ -212,8 +206,8 @@ LedgerRunResult RunCheckpointedFatTree(bool ledger_on, bool async_capture,
   r.captures_digest = epochs.CapturesDigest();
   r.event_digest = topo->EventDigest();
   if (ledger_on) {
-    r.records = tools::FromLedger(EpochLedger::Global().Merged());
-    EpochLedger::Global().Clear();
+    r.records = tools::FromLedger(TraceSession::Global().LedgerRecords());
+    TraceSession::Global().Clear();
   }
   return r;
 }
@@ -300,9 +294,9 @@ TEST_F(LedgerTest, LedgerIsPerturbationFreeOnFaultyHaRun) {
   // even across a restore — ha_test's reproducibility contract).
   auto run = [](bool ledger_on) {
     if (ledger_on) {
-      EpochLedger::Global().Enable();
+      TraceSession::Global().StartFull();
     } else {
-      EpochLedger::Global().Clear();
+      TraceSession::Global().Clear();
     }
     GeneratedTopologyParams params;
     params.hosts = 40;
@@ -322,8 +316,8 @@ TEST_F(LedgerTest, LedgerIsPerturbationFreeOnFaultyHaRun) {
       uint64_t behavior, captures;
       size_t records;
     } r{topo->BehaviorDigest(), mc.coordinator()->CapturesDigest(),
-        EpochLedger::Global().recorded()};
-    EpochLedger::Global().Clear();
+        TraceSession::Global().LedgerRecords().size()};
+    TraceSession::Global().Clear();
     return std::make_tuple(r.behavior, r.captures, r.records);
   };
   const auto off = run(false);

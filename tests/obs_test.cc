@@ -101,6 +101,18 @@ TEST_F(ObsTest, HistogramBucketing) {
   EXPECT_DOUBLE_EQ(empty.ApproxPercentile(99.0), 0.0);
 }
 
+TEST_F(ObsTest, HistogramPercentilesStayWithinObservedRange) {
+  // 40,000 lies in bucket [32768, 65536): the bucket's upper bound would
+  // report a p99 no sample ever reached. Percentiles clamp to [min, max].
+  Histogram h;
+  for (int i = 0; i < 100; ++i) {
+    h.Observe(40000.0);
+  }
+  EXPECT_DOUBLE_EQ(h.ApproxPercentile(50.0), 40000.0);
+  EXPECT_DOUBLE_EQ(h.ApproxPercentile(99.0), 40000.0);
+  EXPECT_DOUBLE_EQ(h.ApproxPercentile(99.9), 40000.0);
+}
+
 // --- Span recording and export ------------------------------------------------
 
 TEST_F(ObsTest, SpansNestAndOrderInChromeJson) {
@@ -136,7 +148,7 @@ TEST_F(ObsTest, SpansNestAndOrderInChromeJson) {
   EXPECT_NE(json.find("\"bytes\": 42"), std::string::npos);
   EXPECT_NE(json.find("\"v\": 1"), std::string::npos);
 
-  EXPECT_EQ(trace.LastTime(), 9 * kMicrosecond);
+  EXPECT_EQ(trace.LastSimTime(), 9 * kMicrosecond);
 }
 
 TEST_F(ObsTest, OpenSpanExportsWithZeroDurationAndFlag) {
@@ -264,7 +276,7 @@ TEST_F(ObsTest, TracingIsPerturbationFreeOnBasicExperimentRun) {
 
 TEST_F(ObsTest, TracingIsPerturbationFreeOnRepoAttachedRun) {
   // The same scenario with a durable repository attached to the engine: the
-  // spill path (lite parse, hashing pool, group commit, repo.commit spans)
+  // spill path (lite parse, hashing pool, group commit, repo.* spans)
   // must not perturb the simulation either — with or without tracing.
   namespace fs = std::filesystem;
   const std::string base =
@@ -311,7 +323,7 @@ TEST_F(ObsTest, TracingIsPerturbationFreeOnRepoAttachedRun) {
   ASSERT_NE(reg.FindGauge("repo.hashpool.max_queue_depth"), nullptr);
   // And the group commit is visible as a span on the repo track.
   const std::string json = TraceSession::Global().ExportChromeJson();
-  EXPECT_NE(json.find("\"name\": \"repo.commit\""), std::string::npos);
+  EXPECT_NE(json.find("\"name\": \"repo.append\""), std::string::npos);
 }
 
 TEST_F(ObsTest, TracingIsPerturbationFreeOnCpuExperimentRun) {

@@ -106,16 +106,16 @@ double AnalyzerRecord::ArgOr(const std::string& key, double fallback) const {
 }
 
 std::vector<AnalyzerRecord> FromLedger(
-    const std::vector<obs::LedgerRecord>& records) {
+    const std::vector<obs::TraceRecord>& records) {
   std::vector<AnalyzerRecord> out;
   out.reserve(records.size());
-  for (const obs::LedgerRecord& rec : records) {
+  for (const obs::TraceRecord& rec : records) {
     AnalyzerRecord a;
     a.epoch = rec.epoch;
     a.partition = rec.partition;
-    a.phase = rec.phase;
-    a.begin_ms = rec.begin_ms;
-    a.end_ms = rec.end_ms;
+    a.phase = rec.name;
+    a.begin_ms = rec.wall_begin_ms;
+    a.end_ms = rec.wall_end_ms;
     a.cause = rec.cause;
     for (uint8_t i = 0; i < rec.nargs; ++i) {
       a.args.emplace_back(rec.args[i].key, rec.args[i].value);
@@ -479,6 +479,59 @@ std::string DiffText(const LedgerAnalysis& baseline,
     out << line;
   }
   return out.str();
+}
+
+LedgerAttribution Attribute(const LedgerAnalysis& analysis) {
+  LedgerAttribution out;
+  out.ok = analysis.ok();
+  out.epochs = analysis.epochs.size();
+  out.min_coverage = analysis.min_coverage;
+  out.hold_p99_us = analysis.hold_p99_us;
+  std::map<int32_t, size_t> straggler_votes;
+  for (const EpochAnalysis& ep : analysis.epochs) {
+    if (ep.straggler_partition >= 0) {
+      ++straggler_votes[ep.straggler_partition];
+    }
+    out.straggler_slack_ms += ep.straggler_slack_ms;
+  }
+  if (!analysis.epochs.empty()) {
+    out.straggler_slack_ms /= static_cast<double>(analysis.epochs.size());
+  }
+  size_t votes = 0;
+  for (const auto& [partition, n] : straggler_votes) {
+    if (n > votes) {
+      votes = n;
+      out.straggler_partition = partition;
+    }
+  }
+  if (analysis.total_wall_ms > 1e-9) {
+    for (const auto& [phase, ms] : analysis.phase_totals_ms) {
+      const double share = ms / analysis.total_wall_ms;
+      if (phase == "window") {
+        out.window_share += share;
+      } else if (phase == "freeze" || phase == "capture" || phase == "spill") {
+        out.frozen_share += share;
+      } else if (phase == "commit_wait") {
+        out.commit_wait_share += share;
+      }
+    }
+  }
+  return out;
+}
+
+LedgerAttribution AttributeRun(const std::function<void()>& run) {
+  obs::TraceSession& session = obs::TraceSession::Global();
+  const obs::TraceSession::Mode prior = session.mode();
+  session.StartFull();
+  run();
+  const LedgerAttribution out =
+      Attribute(Analyze(FromLedger(session.LedgerRecords())));
+  if (prior == obs::TraceSession::Mode::kOff) {
+    session.Stop();
+  } else if (prior == obs::TraceSession::Mode::kRing) {
+    session.StartRing();
+  }
+  return out;
 }
 
 }  // namespace tools

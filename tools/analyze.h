@@ -4,7 +4,7 @@
 // tab_failover).
 //
 // Input is an epoch ledger — either the in-memory records of
-// obs::EpochLedger::Merged() or a JSONL file it exported. The "epoch"
+// obs::TraceSession::LedgerRecords() or a JSONL file it exported. The "epoch"
 // records tile the run's wall clock into segments (one per committed
 // epoch: segment k runs from the close of epoch k-1's capture to the close
 // of epoch k's); every other coordinator-thread record is a *serial* phase
@@ -25,24 +25,25 @@
 //     fsync, journal) it was actually waiting on;
 //   - output-hold stats from the release stamps' args.
 //
-// Everything here is plain data in, plain data out: no simulator, no global
-// state, deterministic for a given ledger.
+// Everything here but AttributeRun is plain data in, plain data out: no
+// simulator, no global state, deterministic for a given ledger.
 
 #ifndef TCSIM_TOOLS_ANALYZE_H_
 #define TCSIM_TOOLS_ANALYZE_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "src/obs/epoch_ledger.h"
+#include "src/obs/trace_session.h"
 
 namespace tcsim {
 namespace tools {
 
 // A ledger record with owned strings — what the JSONL parser produces and
-// what FromLedger converts obs::LedgerRecord (literal-pointer phases) into.
+// what FromLedger converts obs::TraceRecord (literal-pointer names) into.
 struct AnalyzerRecord {
   uint64_t epoch = 0;
   int32_t partition = -1;
@@ -115,14 +116,14 @@ struct LedgerAnalysis {
 
 // Converts the in-memory ledger (literal-pointer strings) to owned records.
 std::vector<AnalyzerRecord> FromLedger(
-    const std::vector<obs::LedgerRecord>& records);
+    const std::vector<obs::TraceRecord>& records);
 
 // Parses one exported JSONL line. Returns false (with *err set) on records
 // missing the required keys; blank lines return false with *err empty.
 bool ParseJsonlLine(const std::string& line, AnalyzerRecord* out,
                     std::string* err);
 
-// Loads a ledger file exported by obs::EpochLedger::WriteJsonl.
+// Loads a ledger file exported by obs::TraceSession::WriteJsonl.
 bool LoadJsonl(const std::string& path, std::vector<AnalyzerRecord>* out,
                std::string* err);
 
@@ -138,6 +139,29 @@ std::string ReportJson(const LedgerAnalysis& analysis);
 // straggler movement between a baseline and the current ledger.
 std::string DiffText(const LedgerAnalysis& baseline,
                      const LedgerAnalysis& current);
+
+// The row-level digest of one run's ledger, folded into the epoch-pipeline
+// benches' JSON rows so bench/check_trajectory.py can gate on it.
+struct LedgerAttribution {
+  bool ok = false;            // analysis ran and found no structural errors
+  size_t epochs = 0;
+  double min_coverage = 0.0;  // min over epochs of attributed/wall
+  int32_t straggler_partition = -1;  // most frequent straggler across epochs
+  double straggler_slack_ms = 0.0;   // mean barrier wait on the straggler
+  double window_share = 0.0;         // aggregate phase shares of total wall
+  double frozen_share = 0.0;         // freeze + capture + spill
+  double commit_wait_share = 0.0;
+  double hold_p99_us = 0.0;          // output-hold tail (HA runs; else 0)
+};
+
+LedgerAttribution Attribute(const LedgerAnalysis& analysis);
+
+// Runs `run` with the global recorder restarted in full mode (so the
+// analysis sees this run's epochs only) and attributes its ledger. Restores
+// the recorder's mode afterwards: off stops (records stay held), ring
+// re-arms an empty flight recorder, full keeps recording — so a bench's
+// --trace / --ledger export at exit holds the last attributed run onward.
+LedgerAttribution AttributeRun(const std::function<void()>& run);
 
 }  // namespace tools
 }  // namespace tcsim

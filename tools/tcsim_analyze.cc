@@ -6,7 +6,7 @@
 //   tcsim_analyze LEDGER.jsonl --diff BASE.jsonl   aggregate comparison
 //
 // The ledger comes from any bench run with --ledger=<file> (bench/bench_util.h)
-// or from obs::EpochLedger::WriteJsonl directly. Exit codes: 0 ok, 1 analysis
+// or from obs::TraceSession::WriteJsonl directly. Exit codes: 0 ok, 1 analysis
 // or load failure, 2 usage.
 
 #include <cstdio>
