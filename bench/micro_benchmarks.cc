@@ -2,8 +2,8 @@
 //
 // These do not reproduce paper results; they bound the cost of the
 // simulation machinery itself (events, RNG, TCP, the branching store, image
-// checksums, and a full local checkpoint cycle) so regressions in the
-// substrate are visible.
+// checksums, repository group commit, and a full local checkpoint cycle) so
+// regressions in the substrate are visible.
 
 #include <benchmark/benchmark.h>
 
@@ -11,7 +11,10 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <cstring>
+#include <filesystem>
 #include <memory>
+#include <string>
 #include <new>
 #include <vector>
 
@@ -22,6 +25,7 @@
 #include "src/net/timer_host.h"
 #include "src/net/wire.h"
 #include "src/obs/trace_session.h"
+#include "src/repo/checkpoint_repo.h"
 #include "src/repo/segment_file.h"
 #include "src/sim/image.h"
 #include "src/sim/random.h"
@@ -233,6 +237,96 @@ void BM_ContentKeyOf(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_ContentKeyOf)->Arg(4 << 10)->Arg(1 << 20);
+
+// Repository append: one group commit of a 4-image batch of fresh payloads
+// into a repository holding state.range(0) live full images (64 x 4 KiB
+// chunks each; fsync off, inline hashing). Only CommitBatch is timed:
+// building and staging (which hashes inline) are not, and neither is the
+// upkeep that keeps the live count at N — retiring the batch just committed
+// and a GC every 16 commits to bound the segment. The prefill's payloads
+// come from a 128-entry alphabet, so N scales the record count, not the disk.
+constexpr size_t kRepoChunks = 64;
+constexpr size_t kRepoChunkBytes = 4 << 10;
+
+std::vector<uint8_t> RepoImage(uint64_t id, uint64_t first_seed,
+                               uint64_t seed_modulus) {
+  CheckpointImageBuilder builder;
+  builder.SetDeltaHeader(id, 0);
+  std::vector<uint8_t> payload(kRepoChunkBytes);
+  for (size_t c = 0; c < kRepoChunks; ++c) {
+    uint64_t x = ((first_seed + c) % seed_modulus) * 0x9E3779B97F4A7C15ull + 1;
+    for (size_t i = 0; i < payload.size(); i += 8) {
+      x ^= x << 13;
+      x ^= x >> 7;
+      x ^= x << 17;
+      std::memcpy(&payload[i], &x, 8);
+    }
+    builder.AddChunk("c" + std::to_string(c), payload);
+  }
+  return builder.Serialize();
+}
+
+void BM_RepoBatchCommit(benchmark::State& state) {
+  namespace fs = std::filesystem;
+  const uint64_t live = static_cast<uint64_t>(state.range(0));
+  const fs::path dir = fs::temp_directory_path() /
+                       ("tcsim_bm_repo_batch_commit_" + std::to_string(live));
+  fs::remove_all(dir);
+  RepoOptions options;
+  options.hash_threads = 0;
+  std::string error;
+  std::unique_ptr<CheckpointRepo> repo =
+      CheckpointRepo::Open(dir.string(), options, &error);
+  if (repo == nullptr) {
+    state.SkipWithError(error.c_str());
+    return;
+  }
+  constexpr uint64_t kAlphabet = 128;
+  uint64_t next_id = 1;
+  for (uint64_t i = 0; i < live; i += 16) {
+    auto batch = repo->BeginBatch();
+    for (uint64_t j = i; j < std::min(live, i + 16); ++j) {
+      batch->Stage(RepoImage(next_id++, j, kAlphabet));
+    }
+    if (!repo->CommitBatch(std::move(batch)).ok) {
+      state.SkipWithError(repo->error().c_str());
+      return;
+    }
+  }
+  uint64_t fresh_seed = kAlphabet;
+  uint64_t commits = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto batch = repo->BeginBatch();
+    for (int i = 0; i < 4; ++i) {
+      batch->Stage(RepoImage(next_id++, fresh_seed, ~uint64_t{0}));
+      fresh_seed += kRepoChunks;
+    }
+    state.ResumeTiming();
+    CheckpointRepo::BatchCommitResult result =
+        repo->CommitBatch(std::move(batch));
+    benchmark::DoNotOptimize(result);
+    state.PauseTiming();
+    if (!result.ok) {
+      state.SkipWithError(result.error.c_str());
+      break;
+    }
+    for (const uint64_t handle : result.handles) {
+      repo->RetireImage(handle);
+    }
+    if (++commits % 16 == 0 && !repo->CollectGarbage().ok) {
+      state.SkipWithError(repo->error().c_str());
+      break;
+    }
+    state.ResumeTiming();
+  }
+  repo.reset();
+  fs::remove_all(dir);
+}
+BENCHMARK(BM_RepoBatchCommit)
+    ->Arg(16)
+    ->Arg(1024)
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_LocalCheckpointCycle(benchmark::State& state) {
   for (auto _ : state) {

@@ -2,14 +2,15 @@
 // paper counterpart — the paper's file server stores swapped-out state but
 // reports no storage-layer numbers).
 //
-// Measures the wall-clock cost of the repository's four verbs over a
-// synthetic delta chain shaped like a stateful-swap series: one full image
-// followed by deltas that each rewrite a few chunks and pin the rest to the
-// parent by CRC.
+// Measures the wall-clock cost of the repository's verbs over a synthetic
+// capture series shaped like a stateful-swap chain: one full image followed
+// by deltas that each rewrite a few chunks and pin the rest to the parent by
+// CRC. An ImageStore owns the chain; the repository receives each
+// generation's materialized (self-contained) form, and content addressing
+// stores only the rewritten chunks.
 //
-//   put          — chain ingestion (logical MB/s, dedup ratio)
+//   put          — generation ingestion (logical MB/s, dedup ratio)
 //   materialize  — streaming read-back of every stored image (MB/s)
-//   compact      — folding the whole chain into self-contained records
 //   gc + reopen  — epoch rewrite, then recovery scan of the new epoch
 //
 // Every phase re-verifies byte identity of the chain head against the
@@ -30,6 +31,7 @@
 #include "src/repo/checkpoint_repo.h"
 #include "src/sim/digest.h"
 #include "src/sim/image.h"
+#include "src/sim/image_store.h"
 
 namespace tcsim {
 namespace {
@@ -62,7 +64,7 @@ std::string ChunkId(size_t index) { return "blk" + std::to_string(index); }
 int Run() {
   namespace fs = std::filesystem;
   PrintHeader("repo-persist",
-              "durable checkpoint repository put/materialize/compact/GC");
+              "durable checkpoint repository put/materialize/GC");
 
   const fs::path dir = fs::temp_directory_path() / "tcsim_bench_repo_persist";
   std::error_code ec;
@@ -79,7 +81,9 @@ int Run() {
   int rc = 0;
 
   // The evolving guest state: chunk index -> current payload. Deltas rewrite
-  // a sliding window of chunks and pin the rest to the parent by CRC.
+  // a sliding window of chunks and pin the rest to the parent by CRC; the
+  // store resolves them, and `images` holds every generation materialized.
+  ImageStore store;
   std::vector<std::vector<uint8_t>> state(kChunksPerImage);
   uint64_t next_seed = 1;
   for (size_t c = 0; c < kChunksPerImage; ++c) {
@@ -92,7 +96,7 @@ int Run() {
     for (size_t c = 0; c < kChunksPerImage; ++c) {
       full.AddChunk(ChunkId(c), state[c]);
     }
-    images.push_back(full.Serialize());
+    store.Put(full.Serialize());
   }
   for (size_t d = 1; d <= kDeltaCount; ++d) {
     CheckpointImageBuilder delta;
@@ -110,15 +114,21 @@ int Run() {
         delta.AddDeltaChunk(ChunkId(c), Crc32(state[c]));
       }
     }
-    images.push_back(delta.Serialize());
+    if (store.Put(delta.Serialize()) == 0) {
+      std::fprintf(stderr, "tab_repo_persist: delta rejected: %s\n",
+                   store.error().c_str());
+      return 1;
+    }
+  }
+  for (uint64_t id = 1; id <= kDeltaCount + 1; ++id) {
+    images.push_back(store.Materialize(id));
   }
 
-  PrintSection("put (full image + delta chain)");
+  PrintSection("put (materialized generations of a delta chain)");
   std::vector<uint64_t> handles;
   const auto put_t0 = std::chrono::steady_clock::now();
   for (const std::vector<uint8_t>& bytes : images) {
-    const uint64_t parent = handles.empty() ? 0 : handles.back();
-    const uint64_t handle = repo->PutImage(bytes, parent);
+    const uint64_t handle = repo->PutImage(bytes);
     if (handle == 0) {
       std::fprintf(stderr, "tab_repo_persist: put rejected: %s\n",
                    repo->error().c_str());
@@ -133,8 +143,6 @@ int Run() {
       static_cast<double>(repo->physical_put_bytes()) / kMiB;
   const double dedup = physical_mb > 0 ? logical_mb / physical_mb : 1.0;
   PrintValue("images put", static_cast<double>(handles.size()), "images");
-  PrintValue("chain depth at head",
-             static_cast<double>(repo->ChainDepth(handles.back())), "hops");
   PrintValue("logical bytes put", logical_mb, "MB");
   PrintValue("physical bytes appended", physical_mb, "MB");
   PrintValue("dedup ratio (logical/physical)", dedup, "x");
@@ -158,14 +166,8 @@ int Run() {
   PrintValue("bytes materialized", mat_mb, "MB");
   PrintValue("materialize throughput", mat_mb / mat_s, "MB/s");
 
-  PrintSection("compaction (fold every chain to depth 0)");
-  const auto compact_t0 = std::chrono::steady_clock::now();
-  const size_t folded = repo->CompactChains(/*max_depth=*/0);
-  const double compact_s = SecondsSince(compact_t0);
-  PrintValue("images folded", static_cast<double>(folded), "images");
-  PrintValue("compaction time", compact_s * 1000.0, "ms");
-  if (repo->Materialize(handles.back()) != head_before) {
-    PrintNote("COMPACTION CHANGED MATERIALIZED BYTES");
+  if (head_before != images.back()) {
+    PrintNote("MATERIALIZED BYTES DIFFER FROM THE IMAGESTORE ORACLE");
     rc = 1;
   }
 
@@ -205,7 +207,7 @@ int Run() {
              static_cast<double>(repo->live_image_count()), "images");
   const bool survivor_ok = repo->Materialize(handles.back()) == head_before;
   PrintNote(survivor_ok
-                ? "chain head byte-identical through compaction, GC and reopen"
+                ? "chain head byte-identical through GC and reopen"
                 : "REOPEN CHANGED MATERIALIZED BYTES");
   if (!survivor_ok) {
     rc = 1;
@@ -329,14 +331,14 @@ int Run() {
       auto batch = batched->BeginBatch();
       if (writers == 1) {
         for (size_t h = 0; h < epoch.size(); ++h) {
-          batch->Stage(epoch[h], 0, 0, /*sequence=*/h + 1);
+          batch->Stage(epoch[h], /*sequence=*/h + 1);
         }
       } else {
         std::vector<std::thread> stagers;
         for (size_t w = 0; w < writers; ++w) {
           stagers.emplace_back([&batch, &epoch, w, writers] {
             for (size_t h = w; h < epoch.size(); h += writers) {
-              batch->Stage(epoch[h], 0, 0, /*sequence=*/h + 1);
+              batch->Stage(epoch[h], /*sequence=*/h + 1);
             }
           });
         }
@@ -404,14 +406,14 @@ int Run() {
   std::snprintf(
       extra, sizeof extra,
       "{\"put_mb_per_s\": %.6g, \"materialize_mb_per_s\": %.6g, "
-      "\"compact_ms\": %.6g, \"gc_ms\": %.6g, \"reopen_ms\": %.6g, "
+      "\"gc_ms\": %.6g, \"reopen_ms\": %.6g, "
       "\"dedup_ratio\": %.6g, \"verified\": %s, "
       "\"spill_100_per_put_mb_per_s\": %.6g, "
       "\"spill_100_batch_mb_per_s\": %.6g, \"spill_100_speedup\": %.6g, "
       "\"spill_1k_per_put_mb_per_s\": %.6g, "
       "\"spill_1k_batch_mb_per_s\": %.6g, \"spill_1k_speedup\": %.6g, "
       "\"spill_verified\": %s}",
-      logical_mb / put_s, mat_mb / mat_s, compact_s * 1000.0, gc_s * 1000.0,
+      logical_mb / put_s, mat_mb / mat_s, gc_s * 1000.0,
       reopen_s * 1000.0, dedup, rc == 0 ? "true" : "false",
       spill_metrics[0][0], spill_metrics[0][1], spill_metrics[0][2],
       spill_metrics[1][0], spill_metrics[1][1], spill_metrics[1][2],

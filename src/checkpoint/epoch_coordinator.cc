@@ -174,8 +174,7 @@ void PartitionEpochCoordinator::BackgroundCommit(size_t index) {
     rec.image_bytes += image->size();
     captures_digest_.MixBytes(image->data(), image->size());
     if (batch != nullptr) {
-      batch->Stage(image, /*parent_handle=*/0, /*parent_ticket=*/0,
-                   /*sequence=*/p + 1);
+      batch->Stage(image, /*sequence=*/p + 1);
     }
     images[p] = std::move(image);
     pool_.Release(&staged_[p]);
@@ -235,8 +234,7 @@ void PartitionEpochCoordinator::CaptureEpoch() {
       obs::Span span("checkpoint", "capture.partition", "serialize");
       auto image = std::make_shared<const std::vector<uint8_t>>(capture_(p));
       if (batch != nullptr) {
-        batch->Stage(image, /*parent_handle=*/0, /*parent_ticket=*/0,
-                     /*sequence=*/p->id() + 1);
+        batch->Stage(image, /*sequence=*/p->id() + 1);
       }
       images_[p->id()] = std::move(image);
     });

@@ -372,43 +372,20 @@ void LocalCheckpointEngine::FinishCapture(CheckpointImageBuilder* builder,
           : std::make_shared<const std::vector<uint8_t>>(
                 store_.Materialize(image_id));
 
-  // Spill-to-repository: persist the capture as emitted (delta against the
-  // previously spilled generation when possible), falling back to a
-  // self-contained materialization when the repository has no usable parent.
-  // The batch API shares the store's buffer with the repository — the only
-  // bytes copied on this path are the ones the segment file writes to disk.
+  // Spill-to-repository: persist the published self-contained image. Its
+  // chunks that a delta capture left unchanged carry the content keys of the
+  // previous spill's, so the repository dedups them and the segment grows by
+  // the changed payloads only. The batch shares the buffer — the only bytes
+  // copied on this path are the ones the segment file writes to disk.
   if (repo_ != nullptr) {
-    uint64_t handle = 0;
-    {
-      std::unique_ptr<RepoWriteBatch> batch = repo_->BeginBatch();
-      if (self_contained) {
-        batch->Stage(store_.RawShared(image_id));
-      } else if (repo_parent_handle_ != 0) {
-        batch->Stage(store_.RawShared(image_id), repo_parent_handle_);
-      } else {
-        batch->Stage(store_.Materialize(image_id));
-      }
-      const CheckpointRepo::BatchCommitResult result =
-          repo_->CommitBatch(std::move(batch));
-      if (result.ok) {
-        handle = result.handles[0];
-      }
-    }
-    if (handle == 0) {
-      // Legacy fallback: a rejected spill (e.g. the spilled parent was
-      // retired and collected under us) degrades to self-contained.
-      std::unique_ptr<RepoWriteBatch> retry = repo_->BeginBatch();
-      retry->Stage(store_.Materialize(image_id));
-      const CheckpointRepo::BatchCommitResult result =
-          repo_->CommitBatch(std::move(retry));
-      if (result.ok) {
-        handle = result.handles[0];
-      }
-    }
-    repo_parent_handle_ = handle;
+    std::unique_ptr<RepoWriteBatch> batch = repo_->BeginBatch();
+    batch->Stage(last_image_);
+    const CheckpointRepo::BatchCommitResult result =
+        repo_->CommitBatch(std::move(batch));
+    last_repo_handle_ = result.ok ? result.handles[0] : 0;
     obs::TraceSession::Global().Instant(
         node_->name(), "repo.spill", sim_->Now(),
-        {{"handle", static_cast<double>(handle)},
+        {{"handle", static_cast<double>(last_repo_handle_)},
          {"delta", self_contained ? 0.0 : 1.0}});
   }
 
@@ -419,9 +396,7 @@ void LocalCheckpointEngine::FinishCapture(CheckpointImageBuilder* builder,
 
 void LocalCheckpointEngine::AttachRepository(CheckpointRepo* repo) {
   repo_ = repo;
-  // The repository knows nothing of captures made before attach: the next
-  // spill must be self-contained.
-  repo_parent_handle_ = 0;
+  last_repo_handle_ = 0;  // handles name images of the previous repository
 }
 
 bool LocalCheckpointEngine::RestoreImage(const std::vector<uint8_t>& image_bytes) {
@@ -472,7 +447,6 @@ bool LocalCheckpointEngine::RestoreImage(const std::vector<uint8_t>& image_bytes
   // state and must never be committed (CommitPendingCapture asserts).
   parent_image_id_ = 0;
   tracks_.clear();
-  repo_parent_handle_ = 0;  // the spill chain restarts with the image chain
   pool_.InvalidateAll();
 
   in_progress_ = true;

@@ -186,19 +186,18 @@ class LocalCheckpointEngine : public CheckpointParticipant {
 
   // --- Spill-to-repository mode ------------------------------------------------
   //
-  // With a repository attached, every capture is also put durably: delta
-  // captures are stored as deltas against the previous spilled generation
-  // (the repository resolves them on disk), so the per-capture disk cost is
-  // O(changed state) too. If the repository cannot accept the delta (no
-  // spilled parent yet, or it rejects the chain), the engine falls back to
-  // spilling a self-contained materialization. Pass null to detach.
+  // With a repository attached, every capture is also put durably, as the
+  // self-contained last_image(): this engine's ImageStore owns the delta
+  // chain, and the repository's content addressing dedups the chunks a
+  // capture left unchanged, so the per-capture disk cost is O(changed state)
+  // too. Pass null to detach.
   void AttachRepository(CheckpointRepo* repo);
 
   // Repository handle of the last spilled capture (0 before the first
   // capture after attach, or if the last spill failed — see repo errors).
   uint64_t last_repo_handle() {
     EnsureCaptureCommitted();
-    return repo_parent_handle_;
+    return last_repo_handle_;
   }
 
   // Applies a composite image to this engine's (freshly built, running)
@@ -284,7 +283,7 @@ class LocalCheckpointEngine : public CheckpointParticipant {
   uint64_t pending_parent_ = 0;  // parent id latched at freeze time
 
   CheckpointRepo* repo_ = nullptr;       // not owned
-  uint64_t repo_parent_handle_ = 0;      // last spilled generation
+  uint64_t last_repo_handle_ = 0;        // last spilled capture
 
   // Telemetry. Counters are resolved once at construction; the phase spans
   // live on this node's own track (the node name). The "ckpt.frozen" span

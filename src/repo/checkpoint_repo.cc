@@ -1,6 +1,7 @@
 #include "src/repo/checkpoint_repo.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cinttypes>
 #include <cstdio>
 #include <filesystem>
@@ -133,8 +134,8 @@ std::unique_ptr<CheckpointRepo> CheckpointRepo::Open(const std::string& dir,
   }
   repo->segment_->set_testing_append_limit(
       options.testing_segment_append_limit);
-  // Replay. Every payload referenced by a visible record is read back and
-  // CRC-verified before the repository declares itself open.
+  // Replay. Every distinct payload referenced by a record is read back and
+  // CRC-verified, once, before the repository declares itself open.
   for (const JournalRecord& rec : journal_records) {
     if (!repo->ApplyJournalRecord(rec)) {
       *error = "recovery failed: " + repo->error_;
@@ -146,7 +147,6 @@ std::unique_ptr<CheckpointRepo> CheckpointRepo::Open(const std::string& dir,
   if (repo->journal_ == nullptr) {
     return nullptr;
   }
-  repo->RebuildRetention();
 
   // Best-effort cleanup of pairs superseded before a crash could delete them.
   for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
@@ -167,20 +167,13 @@ std::vector<uint8_t> CheckpointRepo::EncodeImageRecord(uint64_t handle,
   ArchiveWriter w;
   w.Write<uint64_t>(handle);
   w.Write<uint64_t>(rec.embedded_id);
-  w.Write<uint64_t>(rec.embedded_parent);
-  w.Write<uint64_t>(rec.parent_handle);
   w.Write<uint64_t>(rec.chunks.size());
   for (const ChunkRef& cr : rec.chunks) {
     w.WriteString(cr.id);
-    w.Write<uint8_t>(cr.kind);
-    if (cr.kind == kRepoChunkPayloadRef) {
-      w.Write<uint64_t>(cr.key.hash);
-      w.Write<uint32_t>(cr.key.crc);
-      w.Write<uint64_t>(cr.key.size);
-      w.Write<uint64_t>(cr.offset);
-    } else {
-      w.Write<uint32_t>(cr.expected_crc);
-    }
+    w.Write<uint64_t>(cr.key.hash);
+    w.Write<uint32_t>(cr.key.crc);
+    w.Write<uint64_t>(cr.key.size);
+    w.Write<uint64_t>(cr.offset);
   }
   return w.Take();
 }
@@ -190,8 +183,6 @@ bool CheckpointRepo::DecodeImageRecord(const std::vector<uint8_t>& payload,
   ArchiveReader r(payload);
   *handle = r.Read<uint64_t>();
   rec->embedded_id = r.Read<uint64_t>();
-  rec->embedded_parent = r.Read<uint64_t>();
-  rec->parent_handle = r.Read<uint64_t>();
   const uint64_t count = r.Read<uint64_t>();
   if (!r.ok()) {
     return false;
@@ -200,17 +191,10 @@ bool CheckpointRepo::DecodeImageRecord(const std::vector<uint8_t>& payload,
   for (uint64_t i = 0; i < count; ++i) {
     ChunkRef cr;
     cr.id = r.ReadString();
-    cr.kind = r.Read<uint8_t>();
-    if (cr.kind == kRepoChunkPayloadRef) {
-      cr.key.hash = r.Read<uint64_t>();
-      cr.key.crc = r.Read<uint32_t>();
-      cr.key.size = r.Read<uint64_t>();
-      cr.offset = r.Read<uint64_t>();
-    } else if (cr.kind == kRepoChunkParentRef) {
-      cr.expected_crc = r.Read<uint32_t>();
-    } else {
-      return false;
-    }
+    cr.key.hash = r.Read<uint64_t>();
+    cr.key.crc = r.Read<uint32_t>();
+    cr.key.size = r.Read<uint64_t>();
+    cr.offset = r.Read<uint64_t>();
     if (!r.ok()) {
       return false;
     }
@@ -221,60 +205,35 @@ bool CheckpointRepo::DecodeImageRecord(const std::vector<uint8_t>& payload,
 
 bool CheckpointRepo::ApplyJournalRecord(const JournalRecord& jrec) {
   switch (jrec.type) {
-    case kJournalPutImage:
-    case kJournalCompactImage: {
+    case kJournalPutImage: {
       uint64_t handle = 0;
       ImageRecord rec;
       if (!DecodeImageRecord(jrec.payload, &handle, &rec) || handle == 0) {
         error_ = "corrupt image record in journal";
         return false;
       }
-      const bool is_put = jrec.type == kJournalPutImage;
-      if (is_put && records_.count(handle) != 0) {
+      if (records_.count(handle) != 0) {
         error_ = "duplicate handle " + std::to_string(handle) + " in journal";
         return false;
       }
-      if (!is_put && records_.count(handle) == 0) {
-        error_ = "compaction of unknown handle " + std::to_string(handle);
-        return false;
-      }
-      if (rec.parent_handle != 0 && records_.count(rec.parent_handle) == 0) {
-        error_ = "record references unknown parent handle " +
-                 std::to_string(rec.parent_handle);
-        return false;
-      }
-      // Verify every payload this record makes visible, byte for byte.
+      // Verify every payload this record makes visible, byte for byte — once
+      // per distinct payload: an entry already at this offset was proven
+      // when an earlier record named it (AddRefs records the offset).
       std::vector<uint8_t> scratch;
       for (const ChunkRef& cr : rec.chunks) {
-        if (cr.kind == kRepoChunkPayloadRef) {
-          if (!segment_->ReadPayload(cr.offset, cr.key, &scratch)) {
-            error_ = "payload of chunk '" + cr.id +
-                     "' failed verification (handle " +
-                     std::to_string(handle) + ")";
-            return false;
-          }
-          payloads_[cr.key].offset = cr.offset;
-        } else {
-          auto parent_it = records_.find(rec.parent_handle);
-          if (parent_it == records_.end() ||
-              ResolveChunk(parent_it->second, cr.id, cr.expected_crc,
-                           /*check_crc=*/true) == nullptr) {
-            error_ = "delta chunk '" + cr.id +
-                     "' does not resolve (handle " + std::to_string(handle) +
-                     ")";
-            return false;
-          }
+        auto known = payloads_.find(cr.key);
+        if (known != payloads_.end() && known->second.offset == cr.offset) {
+          continue;
+        }
+        if (!segment_->ReadPayload(cr.offset, cr.key, &scratch)) {
+          error_ = "payload of chunk '" + cr.id +
+                   "' failed verification (handle " + std::to_string(handle) +
+                   ")";
+          return false;
         }
       }
-      if (is_put) {
-        rec.live = true;
-        records_.emplace(handle, std::move(rec));
-      } else {
-        ImageRecord& existing = records_.at(handle);
-        existing.embedded_parent = rec.embedded_parent;
-        existing.parent_handle = rec.parent_handle;
-        existing.chunks = std::move(rec.chunks);
-      }
+      AddRefs(rec);
+      records_.emplace(handle, std::move(rec));
       next_handle_ = std::max(next_handle_, handle + 1);
       return true;
     }
@@ -288,14 +247,15 @@ bool CheckpointRepo::ApplyJournalRecord(const JournalRecord& jrec) {
         return false;
       }
       it->second.live = false;
+      DropRefs(it->second);
       return true;
     }
     case kJournalBatchPut: {
       // A group-committed epoch: count, then length-prefixed put sub-records,
-      // applied in order (delta parents precede children by construction).
-      // The batch shares one CRC frame, so a torn tail dropped the whole
-      // record and we never see a partial epoch here; a sub-record that fails
-      // to apply is genuine corruption and refuses the open.
+      // applied in order. The batch shares one CRC frame, so a torn tail
+      // dropped the whole record and we never see a partial epoch here; a
+      // sub-record that fails to apply is genuine corruption and refuses the
+      // open.
       ArchiveReader r(jrec.payload);
       const uint64_t count = r.Read<uint64_t>();
       if (!r.ok()) {
@@ -337,65 +297,11 @@ bool CheckpointRepo::ApplyJournalRecord(const JournalRecord& jrec) {
   }
 }
 
-const CheckpointRepo::ChunkRef* CheckpointRepo::ResolveChunk(
-    const ImageRecord& rec, const std::string& id, uint32_t expected_crc,
-    bool check_crc) const {
-  static const std::map<uint64_t, ImageRecord> kNoStaged;
-  return ResolveChunkStaged(rec, id, expected_crc, check_crc, kNoStaged);
-}
-
-const CheckpointRepo::ChunkRef* CheckpointRepo::ResolveChunkStaged(
-    const ImageRecord& rec, const std::string& id, uint32_t expected_crc,
-    bool check_crc, const std::map<uint64_t, ImageRecord>& staged) const {
-  const ImageRecord* r = &rec;
-  // Walk the parent chain. The hop bound is a cycle guard; real chains are
-  // as deep as the capture history that built them. Handles staged in the
-  // batch being committed shadow nothing — they are brand new — so checking
-  // them first is just the overlay order.
-  const size_t bound = records_.size() + staged.size();
-  for (size_t hops = 0; hops <= bound; ++hops) {
-    const ChunkRef* found = nullptr;
-    for (const ChunkRef& cr : r->chunks) {
-      if (cr.id == id) {
-        found = &cr;
-        break;
-      }
-    }
-    if (found == nullptr) {
-      return nullptr;
-    }
-    if (found->kind == kRepoChunkPayloadRef) {
-      if (check_crc && found->key.crc != expected_crc) {
-        return nullptr;
-      }
-      return found;
-    }
-    // A parent ref along the chain must pin the same content the caller
-    // expects; diverging pins mean the chain was rebuilt underneath us.
-    if (check_crc && found->expected_crc != expected_crc) {
-      return nullptr;
-    }
-    auto s = staged.find(r->parent_handle);
-    if (s != staged.end()) {
-      r = &s->second;
-      continue;
-    }
-    auto it = records_.find(r->parent_handle);
-    if (it == records_.end()) {
-      return nullptr;
-    }
-    r = &it->second;
-  }
-  return nullptr;
-}
-
-uint64_t CheckpointRepo::PutImage(const std::vector<uint8_t>& image_bytes,
-                                  uint64_t parent_handle) {
+uint64_t CheckpointRepo::PutImage(const std::vector<uint8_t>& image_bytes) {
   // A put is a batch of one: same validation, same rejection strings, one
   // (all-or-nothing) journal record.
   std::unique_ptr<RepoWriteBatch> batch = BeginBatch();
-  const uint64_t ticket =
-      batch->Stage(std::vector<uint8_t>(image_bytes), parent_handle);
+  const uint64_t ticket = batch->Stage(std::vector<uint8_t>(image_bytes));
   const BatchCommitResult result = CommitBatch(std::move(batch));
   return result.ok ? result.handles[ticket - 1] : 0;
 }
@@ -467,62 +373,14 @@ CheckpointRepo::BatchCommitResult CheckpointRepo::CommitBatch(
         break;
       }
     }
-    rec.embedded_parent = e->embedded_parent;
 
-    const ImageRecord* parent = nullptr;
-    if (e->delta_ref_count != 0) {
-      uint64_t parent_handle = e->parent_handle;
-      if (e->parent_ticket != 0) {
-        // Staged-but-uncommitted parent, named by its ticket. The sequence
-        // order must already place it before this child.
-        auto t = ticket_handle.find(e->parent_ticket);
-        if (t == ticket_handle.end()) {
-          err = "delta parent ticket " + std::to_string(e->parent_ticket) +
-                " was not staged before its child in this batch";
-          break;
-        }
-        parent_handle = t->second;
-      }
-      if (parent_handle == 0) {
-        err = "delta image requires its parent's handle";
-        break;
-      }
-      auto s = staged.find(parent_handle);
-      if (s != staged.end()) {
-        parent = &s->second;
-      } else {
-        auto it = records_.find(parent_handle);
-        if (it == records_.end() || retained_.count(parent_handle) == 0) {
-          err = "unknown or unretained parent handle " +
-                std::to_string(parent_handle);
-          break;
-        }
-        parent = &it->second;
-      }
-      if (parent->embedded_id != e->embedded_parent) {
-        err = "parent handle names image " +
-              std::to_string(parent->embedded_id) +
-              " but the delta links image " +
-              std::to_string(e->embedded_parent);
-        break;
-      }
-      rec.parent_handle = parent_handle;
-    }
-
-    // Validate this entry's whole chunk table before touching the segment:
-    // payload CRCs were proven by the hashing pool, delta refs must resolve
-    // through the (staged ∪ committed) chain. Earlier entries of a failing
-    // batch may already have appended — those bytes become orphans the next
-    // GC reclaims, never a visible image.
+    // Validate this entry's whole chunk table (CRCs proven by the hashing
+    // pool) before touching the segment. Earlier entries of a failing batch
+    // may already have appended — those bytes become orphans the next GC
+    // reclaims, never a visible image.
     for (const RepoWriteBatch::StagedChunk& sc : e->chunks) {
-      if (sc.kind == kChunkKindPayload) {
-        if (!sc.crc_ok) {
-          err = "malformed image: CRC mismatch in chunk '" + sc.id + "'";
-          break;
-        }
-      } else if (ResolveChunkStaged(*parent, sc.id, sc.declared_crc,
-                                    /*check_crc=*/true, staged) == nullptr) {
-        err = "stale or unresolvable delta ref for chunk '" + sc.id + "'";
+      if (!sc.crc_ok) {
+        err = "malformed image: CRC mismatch in chunk '" + sc.id + "'";
         break;
       }
     }
@@ -534,32 +392,26 @@ CheckpointRepo::BatchCommitResult CheckpointRepo::CommitBatch(
     for (const RepoWriteBatch::StagedChunk& sc : e->chunks) {
       ChunkRef cr;
       cr.id = sc.id;
-      if (sc.kind == kChunkKindPayload) {
-        cr.kind = kRepoChunkPayloadRef;
-        cr.key = sc.key;
-        result.logical_payload_bytes += sc.key.size;
-        auto known = payloads_.find(sc.key);
-        auto in_batch = known != payloads_.end() ? staged_offsets.end()
-                                                 : staged_offsets.find(sc.key);
-        if (known != payloads_.end()) {
-          cr.offset = known->second.offset;
-          ++dedup_hits;
-        } else if (in_batch != staged_offsets.end()) {
-          cr.offset = in_batch->second;
-          ++dedup_hits;
-        } else {
-          cr.offset =
-              segment_->AppendSpan(sc.span.data, sc.span.size, sc.key.crc);
-          if (cr.offset == 0) {
-            err = "segment append failed";
-            break;
-          }
-          staged_offsets.emplace(sc.key, cr.offset);
-          result.appended_payload_bytes += sc.key.size;
-        }
+      cr.key = sc.key;
+      result.logical_payload_bytes += sc.key.size;
+      auto known = payloads_.find(sc.key);
+      auto in_batch = known != payloads_.end() ? staged_offsets.end()
+                                               : staged_offsets.find(sc.key);
+      if (known != payloads_.end()) {
+        cr.offset = known->second.offset;
+        ++dedup_hits;
+      } else if (in_batch != staged_offsets.end()) {
+        cr.offset = in_batch->second;
+        ++dedup_hits;
       } else {
-        cr.kind = kRepoChunkParentRef;
-        cr.expected_crc = sc.declared_crc;
+        cr.offset =
+            segment_->AppendSpan(sc.span.data, sc.span.size, sc.key.crc);
+        if (cr.offset == 0) {
+          err = "segment append failed";
+          break;
+        }
+        staged_offsets.emplace(sc.key, cr.offset);
+        result.appended_payload_bytes += sc.key.size;
       }
       rec.chunks.push_back(std::move(cr));
     }
@@ -619,21 +471,13 @@ CheckpointRepo::BatchCommitResult CheckpointRepo::CommitBatch(
     return result;
   }
 
-  // Publish in memory: register payload offsets, install the records, and
-  // rebuild retention once per epoch instead of once per image.
+  // Publish in memory: count the new records' references and install them.
   result.images = staged.size();
-  for (const auto& [handle, rec] : staged) {
-    for (const ChunkRef& cr : rec.chunks) {
-      if (cr.kind == kRepoChunkPayloadRef) {
-        payloads_[cr.key].offset = cr.offset;
-      }
-    }
-  }
   next_handle_ += staged.size();
   for (auto& [handle, rec] : staged) {
+    AddRefs(rec);
     records_.emplace(handle, std::move(rec));
   }
-  RebuildRetention();
   for (const auto& [ticket, handle] : ticket_handle) {
     result.handles[ticket - 1] = handle;
   }
@@ -678,7 +522,7 @@ bool CheckpointRepo::RetireImage(uint64_t handle) {
     return false;
   }
   it->second.live = false;
-  RebuildRetention();
+  DropRefs(it->second);
   error_.clear();
   return true;
 }
@@ -698,24 +542,12 @@ std::vector<uint8_t> CheckpointRepo::Materialize(uint64_t handle) {
   builder.SetDeltaHeader(rec.embedded_id, 0);
   std::vector<uint8_t> payload;
   for (const ChunkRef& cr : rec.chunks) {
-    const ChunkRef* src = &cr;
-    if (cr.kind == kRepoChunkParentRef) {
-      auto parent_it = records_.find(rec.parent_handle);
-      src = parent_it == records_.end()
-                ? nullptr
-                : ResolveChunk(parent_it->second, cr.id, cr.expected_crc,
-                               /*check_crc=*/true);
-      if (src == nullptr) {
-        error_ = "broken parent chain at chunk '" + cr.id + "'";
-        return {};
-      }
-    }
-    if (!segment_->ReadPayload(src->offset, src->key, &payload)) {
+    if (!segment_->ReadPayload(cr.offset, cr.key, &payload)) {
       error_ = "payload of chunk '" + cr.id + "' failed CRC verification";
       return {};
     }
-    // ReadPayload just proved the bytes carry src->key, CRC included.
-    builder.AddChunk(cr.id, std::move(payload), src->key.crc);
+    // ReadPayload just proved the bytes carry cr.key, CRC included.
+    builder.AddChunk(cr.id, std::move(payload), cr.key.crc);
     payload.clear();
   }
   error_.clear();
@@ -725,57 +557,6 @@ std::vector<uint8_t> CheckpointRepo::Materialize(uint64_t handle) {
   count->Increment();
   out_bytes->Add(bytes.size());
   return bytes;
-}
-
-size_t CheckpointRepo::CompactChains(size_t max_depth) {
-  size_t folded = 0;
-  for (auto& [handle, rec] : records_) {
-    if (!rec.live || ChainDepth(handle) <= max_depth) {
-      continue;
-    }
-    ImageRecord folded_rec = rec;
-    folded_rec.parent_handle = 0;
-    folded_rec.embedded_parent = 0;
-    bool resolvable = true;
-    for (ChunkRef& cr : folded_rec.chunks) {
-      if (cr.kind != kRepoChunkParentRef) {
-        continue;
-      }
-      auto parent_it = records_.find(rec.parent_handle);
-      const ChunkRef* src =
-          parent_it == records_.end()
-              ? nullptr
-              : ResolveChunk(parent_it->second, cr.id, cr.expected_crc,
-                             /*check_crc=*/true);
-      if (src == nullptr) {
-        resolvable = false;
-        break;
-      }
-      ChunkRef resolved;
-      resolved.id = cr.id;
-      resolved.kind = kRepoChunkPayloadRef;
-      resolved.key = src->key;
-      resolved.offset = src->offset;
-      cr = std::move(resolved);
-    }
-    if (!resolvable) {
-      continue;  // broken chain: leave the record as-is, Materialize reports
-    }
-    if (!Commit(kJournalCompactImage, EncodeImageRecord(handle, folded_rec))) {
-      return folded;
-    }
-    rec = std::move(folded_rec);
-    ++folded;
-  }
-  if (folded != 0) {
-    RebuildRetention();
-    static obs::Counter* const folded_counter = RepoCounter("repo.compact.folded");
-    folded_counter->Add(folded);
-    obs::TraceSession::Global().Instant(
-        "repo", "repo.compact", obs::kShardSimTime,
-        {{"folded", static_cast<double>(folded)}});
-  }
-  return folded;
 }
 
 CheckpointRepo::GcResult CheckpointRepo::CollectGarbage() {
@@ -800,22 +581,20 @@ CheckpointRepo::GcResult CheckpointRepo::CollectGarbage() {
     return result;
   }
 
-  // Copy retained records in handle order (parents precede children), with
-  // payloads deduped into the new segment.
-  std::map<ContentKey, uint64_t> new_offsets;
+  // Copy live records in handle order, with payloads deduped into the new
+  // segment. Each payload keeps its refcount: exactly the live records that
+  // referenced it before are copied.
+  std::map<ContentKey, PayloadEntry> new_payloads;
   std::map<uint64_t, ImageRecord> new_records;
   std::vector<uint8_t> payload;
   for (const auto& [handle, rec] : records_) {
-    if (retained_.count(handle) == 0) {
+    if (!rec.live) {
       continue;
     }
     ImageRecord copy = rec;
     for (ChunkRef& cr : copy.chunks) {
-      if (cr.kind != kRepoChunkPayloadRef) {
-        continue;
-      }
-      auto it = new_offsets.find(cr.key);
-      if (it == new_offsets.end()) {
+      auto it = new_payloads.find(cr.key);
+      if (it == new_payloads.end()) {
         if (!segment_->ReadPayload(cr.offset, cr.key, &payload)) {
           error_ = "GC read of chunk '" + cr.id + "' failed verification";
           return result;
@@ -825,9 +604,10 @@ CheckpointRepo::GcResult CheckpointRepo::CollectGarbage() {
           error_ = "GC segment write failed";
           return result;
         }
-        it = new_offsets.emplace(cr.key, offset).first;
+        const uint64_t refs = payloads_.at(cr.key).refs;
+        it = new_payloads.emplace(cr.key, PayloadEntry{offset, refs}).first;
       }
-      cr.offset = it->second;
+      cr.offset = it->second.offset;
     }
     if (!new_journal->Append(kJournalPutImage,
                              EncodeImageRecord(handle, copy))) {
@@ -835,18 +615,6 @@ CheckpointRepo::GcResult CheckpointRepo::CollectGarbage() {
       return result;
     }
     new_records.emplace(handle, std::move(copy));
-  }
-  // Retired-but-pinned ancestors keep their retired status across the epoch.
-  for (const auto& [handle, rec] : new_records) {
-    if (rec.live) {
-      continue;
-    }
-    ArchiveWriter w;
-    w.Write<uint64_t>(handle);
-    if (!new_journal->Append(kJournalRetireImage, w.Take())) {
-      error_ = "GC journal write failed";
-      return result;
-    }
   }
   if (!new_segment->Flush(options_.fsync) || !new_journal->Flush(options_.fsync)) {
     error_ = "GC flush failed";
@@ -880,11 +648,7 @@ CheckpointRepo::GcResult CheckpointRepo::CollectGarbage() {
   journal_ = std::move(new_journal);
   epoch_ = new_epoch;
   records_ = std::move(new_records);
-  payloads_.clear();
-  for (const auto& [key, offset] : new_offsets) {
-    payloads_[key].offset = offset;
-  }
-  RebuildRetention();
+  payloads_ = std::move(new_payloads);
 
   std::error_code ec;
   std::filesystem::remove(SegmentPath(dir_, old_epoch), ec);
@@ -903,43 +667,22 @@ CheckpointRepo::GcResult CheckpointRepo::CollectGarbage() {
   return result;
 }
 
-void CheckpointRepo::RebuildRetention() {
-  retained_.clear();
-  for (const auto& [handle, rec] : records_) {
-    if (!rec.live) {
-      continue;
-    }
-    retained_.insert(handle);
-    // Ancestors are needed exactly while records along the chain still carry
-    // unresolved parent refs.
-    const ImageRecord* r = &rec;
-    while (r->parent_handle != 0 &&
-           std::any_of(r->chunks.begin(), r->chunks.end(),
-                       [](const ChunkRef& cr) {
-                         return cr.kind == kRepoChunkParentRef;
-                       })) {
-      auto it = records_.find(r->parent_handle);
-      if (it == records_.end() || !retained_.insert(it->first).second) {
-        break;  // missing (broken chain) or already walked from here up
-      }
-      r = &it->second;
+void CheckpointRepo::AddRefs(const ImageRecord& rec) {
+  for (const ChunkRef& cr : rec.chunks) {
+    PayloadEntry& entry = payloads_[cr.key];
+    entry.offset = cr.offset;
+    if (entry.refs++ == 0) {
+      live_payload_bytes_ += kSegmentRecordOverhead + cr.key.size;
     }
   }
+}
 
-  for (auto& [key, entry] : payloads_) {
-    entry.refs = 0;
-  }
-  for (uint64_t handle : retained_) {
-    for (const ChunkRef& cr : records_.at(handle).chunks) {
-      if (cr.kind == kRepoChunkPayloadRef) {
-        ++payloads_[cr.key].refs;
-      }
-    }
-  }
-  live_payload_bytes_ = 0;
-  for (const auto& [key, entry] : payloads_) {
-    if (entry.refs != 0) {
-      live_payload_bytes_ += kSegmentRecordOverhead + key.size;
+void CheckpointRepo::DropRefs(const ImageRecord& rec) {
+  for (const ChunkRef& cr : rec.chunks) {
+    PayloadEntry& entry = payloads_.at(cr.key);
+    assert(entry.refs != 0);
+    if (--entry.refs == 0) {
+      live_payload_bytes_ -= kSegmentRecordOverhead + cr.key.size;
     }
   }
 }
@@ -979,27 +722,6 @@ std::vector<uint64_t> CheckpointRepo::LiveHandles() const {
 
 uint64_t CheckpointRepo::ImageIdOf(uint64_t handle) const {
   return records_.at(handle).embedded_id;
-}
-
-uint64_t CheckpointRepo::ParentHandleOf(uint64_t handle) const {
-  return records_.at(handle).parent_handle;
-}
-
-size_t CheckpointRepo::ChainDepth(uint64_t handle) const {
-  size_t depth = 0;
-  const ImageRecord* rec = &records_.at(handle);
-  while (std::any_of(rec->chunks.begin(), rec->chunks.end(),
-                     [](const ChunkRef& cr) {
-                       return cr.kind == kRepoChunkParentRef;
-                     })) {
-    auto it = records_.find(rec->parent_handle);
-    if (it == records_.end() || depth > records_.size()) {
-      break;
-    }
-    rec = &it->second;
-    ++depth;
-  }
-  return depth;
 }
 
 size_t CheckpointRepo::live_image_count() const {

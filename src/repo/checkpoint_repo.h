@@ -4,27 +4,29 @@
 //
 // Layering (see repo_format.h for the byte layout):
 //
-//   CheckpointRepo      image records, parent chains, refcounts, compaction/GC
-//     ├── JournalWriter write-ahead log of put / retire / compact operations
+//   CheckpointRepo      image records, payload refcounts, GC
+//     ├── JournalWriter write-ahead log of put / retire operations
 //     └── SegmentFile   append-only, content-addressed chunk payloads
 //
 // Key properties:
+//  - Self-contained images only: ImageStore (src/sim/image_store.h) is the
+//    one owner of delta chains, so callers put materialized images and a
+//    delta image is rejected. Content addressing makes that free on disk.
 //  - Content-addressed dedup: a payload is stored once per repository no
-//    matter how many images reference it, so a delta chain's shared chunks
-//    (and identical chunks across unrelated images) cost one copy.
+//    matter how many images reference it, so successive generations' shared
+//    chunks (and identical chunks across unrelated images) cost one copy.
 //  - Atomic multi-chunk publication: payloads are flushed to the segment
 //    before the journal record naming them is appended; a crash between the
 //    two leaves orphan payload bytes (reclaimed by the next GC), never a
 //    visible image with missing bytes.
 //  - Recovery: opening an existing repository replays the journal, truncates
-//    a torn tail, and re-verifies the CRC of every payload referenced by a
-//    visible image. A repository that cannot prove its payloads intact
-//    refuses to open.
-//  - Delta chains on disk: a put may store a format-v2 delta image as-is;
-//    its parent-ref chunks are resolved through the parent chain at read
-//    time. CompactChains() folds chains into self-contained records (pure
-//    payload-ref tables) and a refcount-based GC rewrites the (segment,
-//    journal) pair without unreferenced payloads, installing the new epoch
+//    a torn tail, and re-verifies the CRC of every distinct payload a record
+//    names, once. A repository that cannot prove its payloads intact refuses
+//    to open.
+//  - Retention is kept current: each payload counts the chunk references of
+//    live records, adjusted at publication and retirement, so the live byte
+//    count is exact at all times. GC rewrites the (segment, journal) pair
+//    with the live records and their payloads only, installing the new epoch
 //    by an atomic CURRENT rename.
 //  - Materialize(handle) rebuilds the stored image as a self-contained
 //    composite image (src/sim/image.h), byte-identical to what the in-memory
@@ -36,7 +38,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -79,15 +80,11 @@ class CheckpointRepo {
   CheckpointRepo(const CheckpointRepo&) = delete;
   CheckpointRepo& operator=(const CheckpointRepo&) = delete;
 
-  // Stores a serialized composite image (format v1 or v2, full or delta) and
-  // returns its repository handle (monotonic, never reused), or 0 on
-  // rejection (error() says why; the repository is unchanged). A delta image
-  // (one carrying parent-ref chunks) requires `parent_handle`: the handle
-  // returned when its parent was put. Validation mirrors ImageStore::Put —
-  // the parent's embedded image id must match the delta's parent link and
-  // every parent-ref CRC must pin actual parent content.
-  uint64_t PutImage(const std::vector<uint8_t>& image_bytes,
-                    uint64_t parent_handle = 0);
+  // Stores a serialized self-contained composite image (format v1, or v2
+  // without delta refs) and returns its repository handle (monotonic, never
+  // reused), or 0 on rejection (error() says why; the repository is
+  // unchanged). Malformed, CRC-mismatched and delta images are rejected.
+  uint64_t PutImage(const std::vector<uint8_t>& image_bytes);
 
   // --- Batched group commit ----------------------------------------------------
   //
@@ -111,37 +108,27 @@ class CheckpointRepo {
   };
 
   // Validates and publishes the whole batch, all-or-nothing: handles are
-  // assigned in (sequence, ticket) order, delta parents resolve against
-  // committed records *or* earlier entries of this same batch, every new
-  // payload is appended behind one flush, and a single kJournalBatchPut
-  // record publishes the epoch. On any rejection or I/O error nothing is
-  // published — the repository stays at its previous state (orphan segment
-  // bytes, if any, are garbage for the next GC) and `error` says why. An
-  // empty batch commits trivially. error() mirrors the result's error.
+  // assigned in (sequence, ticket) order, every new payload is appended
+  // behind one flush, and a single kJournalBatchPut record publishes the
+  // epoch. On any rejection or I/O error nothing is published — the
+  // repository stays at its previous state (orphan segment bytes, if any,
+  // are garbage for the next GC) and `error` says why. An empty batch
+  // commits trivially. error() mirrors the result's error.
   BatchCommitResult CommitBatch(std::unique_ptr<RepoWriteBatch> batch);
 
   // The background hashing pool shared by this repository's batches.
   HashPool& hash_pool() { return *hash_pool_; }
 
-  // Marks an image retired (no longer materializable). Its payloads stay on
-  // disk while still referenced — by other images through dedup, or by live
-  // descendants whose delta chunks resolve through this record — and become
+  // Marks an image retired (no longer materializable). Its payloads stay
+  // live while other live images reference them through dedup, and become
   // garbage once unreferenced. False if the handle is unknown or already
   // retired.
   bool RetireImage(uint64_t handle);
 
-  // Rebuilds the stored image as a self-contained composite image, resolving
-  // parent-ref chunks through the on-disk parent chain and re-verifying
-  // every payload CRC as it streams chunks from the segment. Empty on
-  // failure (error() says why).
+  // Rebuilds the stored image as a self-contained composite image,
+  // re-verifying every payload CRC as it streams chunks from the segment.
+  // Empty on failure (error() says why).
   std::vector<uint8_t> Materialize(uint64_t handle);
-
-  // Folds every live image whose delta chain is deeper than `max_depth` into
-  // a self-contained record (all chunks become direct payload refs; content
-  // addressing means no payload bytes are rewritten). Ancestors kept alive
-  // only as chain links become garbage for the next GC. Returns the number
-  // of images folded.
-  size_t CompactChains(size_t max_depth = 0);
 
   struct GcResult {
     bool ok = false;
@@ -149,8 +136,8 @@ class CheckpointRepo {
     uint64_t live_bytes = 0;       // segment bytes in the new epoch
   };
 
-  // Rewrites the (segment, journal) pair keeping only retained records and
-  // the payloads they reference, then atomically installs the new epoch via
+  // Rewrites the (segment, journal) pair keeping only live records and the
+  // payloads they reference, then atomically installs the new epoch via
   // the CURRENT pointer. Crash-safe: until CURRENT is renamed the old epoch
   // stays authoritative.
   GcResult CollectGarbage();
@@ -167,10 +154,6 @@ class CheckpointRepo {
   // The image id embedded in the stored image's header (v1 images are
   // assigned their handle). Handle must exist.
   uint64_t ImageIdOf(uint64_t handle) const;
-  // Parent handle (0 = self-contained record). Handle must exist.
-  uint64_t ParentHandleOf(uint64_t handle) const;
-  // Number of parent hops needed to resolve this record's chunks.
-  size_t ChainDepth(uint64_t handle) const;
 
   size_t image_count() const { return records_.size(); }
   size_t live_image_count() const;
@@ -194,49 +177,35 @@ class CheckpointRepo {
  private:
   struct ChunkRef {
     std::string id;
-    uint8_t kind = kRepoChunkPayloadRef;
-    ContentKey key;           // payload ref
-    uint64_t offset = 0;      // payload ref: segment offset
-    uint32_t expected_crc = 0;  // parent ref
+    ContentKey key;
+    uint64_t offset = 0;  // segment offset of the payload record
   };
 
   struct ImageRecord {
     uint64_t embedded_id = 0;
-    uint64_t embedded_parent = 0;
-    uint64_t parent_handle = 0;
     bool live = true;
     std::vector<ChunkRef> chunks;
   };
 
   CheckpointRepo(std::string dir, RepoOptions options);
 
-  // Serializes / parses the journal payload of a put or compact record.
+  // Serializes / parses the journal payload of a put record.
   static std::vector<uint8_t> EncodeImageRecord(uint64_t handle,
                                                 const ImageRecord& rec);
   static bool DecodeImageRecord(const std::vector<uint8_t>& payload,
                                 uint64_t* handle, ImageRecord* rec);
 
-  // Applies one parsed journal record to in-memory state, verifying every
-  // payload reference against the segment. False (with error_) on anything
-  // a crash cannot explain: bad refs, unknown handles, CRC mismatches.
+  // Applies one parsed journal record to in-memory state, verifying each
+  // payload reference the first time a record names it. False (with error_)
+  // on anything a crash cannot explain: bad refs, unknown handles, CRC
+  // mismatches.
   bool ApplyJournalRecord(const JournalRecord& rec);
 
-  // Resolves chunk `id` of `rec` to its payload ref, walking parent-ref
-  // chunks up the chain. Null if the chain is broken.
-  const ChunkRef* ResolveChunk(const ImageRecord& rec, const std::string& id,
-                               uint32_t expected_crc, bool check_crc) const;
-
-  // Same walk, but parent handles also resolve through `staged` — records of
-  // a batch being committed, visible to later entries of that batch before
-  // publication.
-  const ChunkRef* ResolveChunkStaged(
-      const ImageRecord& rec, const std::string& id, uint32_t expected_crc,
-      bool check_crc, const std::map<uint64_t, ImageRecord>& staged) const;
-
-  // Recomputes the retained set, payload refcounts and live byte count
-  // after any mutation. O(images * chunks) — repository populations are
-  // small; correctness over cleverness.
-  void RebuildRetention();
+  // Counts a published live record's chunk references in (AddRefs) or out
+  // (DropRefs) of the payload refcounts; a payload's bytes join or leave
+  // live_payload_bytes_ when its count crosses zero.
+  void AddRefs(const ImageRecord& rec);
+  void DropRefs(const ImageRecord& rec);
 
   // Appends a journal record with the publication barrier (segment flushed
   // first). False on I/O failure.
@@ -254,15 +223,13 @@ class CheckpointRepo {
   std::map<uint64_t, ImageRecord> records_;
   uint64_t next_handle_ = 1;
 
-  // ContentKey -> (segment offset, refcount among retained records).
+  // ContentKey -> (segment offset, chunk references from live records).
+  // Unreferenced entries stay until GC, so a later put still dedups to them.
   struct PayloadEntry {
     uint64_t offset = 0;
     uint64_t refs = 0;
   };
   std::map<ContentKey, PayloadEntry> payloads_;
-  // Handles retained for materialization: live, or an ancestor a live
-  // image's delta chunks resolve through.
-  std::set<uint64_t> retained_;
 
   uint64_t live_payload_bytes_ = 0;
   uint64_t logical_put_bytes_ = 0;

@@ -1,7 +1,7 @@
 // On-disk format constants for the durable checkpoint repository.
 //
 // A repository directory holds one (segment, journal) file pair per
-// compaction epoch plus a CURRENT pointer file:
+// GC epoch plus a CURRENT pointer file:
 //
 //   CURRENT      "epoch N\n", rewritten by atomic rename — names the live pair
 //   segment.N    append-only chunk payload store (content-addressed)
@@ -15,13 +15,16 @@
 //   header : magic u32 ("TJRN") | format version u32
 //   record : magic u32 ("TJRC") | type u8 | payload length u64 | payload
 //          | CRC32 u32 (over the payload)
+//   put    : handle u64 | embedded image id u64 | chunk count u64
+//          | per chunk: id string | content key (hash u64, CRC32 u32,
+//            size u64) | segment offset u64
 //
 // Durability protocol: payload bytes are appended to the segment and flushed
 // *before* the journal record that references them is appended, so a journal
 // record is visible only when every byte it points at is durable. Recovery
 // replays the journal sequentially, truncates a torn tail at the first
-// unparsable record, and verifies the CRC of every referenced payload before
-// declaring the repository open.
+// unparsable record, and verifies the CRC of every distinct referenced payload
+// (once, however many records name it) before declaring the repository open.
 
 #ifndef TCSIM_SRC_REPO_REPO_FORMAT_H_
 #define TCSIM_SRC_REPO_REPO_FORMAT_H_
@@ -35,22 +38,19 @@ inline constexpr uint32_t kSegmentMagic = 0x47455354;        // "TSEG"
 inline constexpr uint32_t kSegmentRecordMagic = 0x43525354;  // "TSRC"
 inline constexpr uint32_t kJournalMagic = 0x4E524A54;        // "TJRN"
 inline constexpr uint32_t kJournalRecordMagic = 0x43524A54;  // "TJRC"
-inline constexpr uint32_t kRepoFormatVersion = 1;
+// Version 2: put records hold self-contained chunk tables (no parent refs).
+// A version-1 directory fails the header checks instead of being misparsed.
+inline constexpr uint32_t kRepoFormatVersion = 2;
 
 // Journal record types.
 inline constexpr uint8_t kJournalPutImage = 1;
 inline constexpr uint8_t kJournalRetireImage = 2;
-inline constexpr uint8_t kJournalCompactImage = 3;
 inline constexpr uint8_t kJournalNextHandle = 4;
 // A group-committed epoch of puts: the payload is a count followed by
 // length-prefixed put-image sub-records. The whole batch shares one CRC
 // frame, so recovery sees the epoch all-or-nothing — a tear anywhere inside
 // the record makes every image of the batch invisible, never a prefix.
 inline constexpr uint8_t kJournalBatchPut = 5;
-
-// Within a put/compact record's chunk table.
-inline constexpr uint8_t kRepoChunkPayloadRef = 1;
-inline constexpr uint8_t kRepoChunkParentRef = 2;
 
 // Fixed framing sizes (used by recovery bounds checks and space accounting).
 inline constexpr uint64_t kSegmentHeaderBytes = 8;

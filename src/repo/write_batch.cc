@@ -15,41 +15,36 @@ RepoWriteBatch::~RepoWriteBatch() {
 }
 
 uint64_t RepoWriteBatch::Stage(
-    std::shared_ptr<const std::vector<uint8_t>> image, uint64_t parent_handle,
-    uint64_t parent_ticket, uint64_t sequence) {
+    std::shared_ptr<const std::vector<uint8_t>> image, uint64_t sequence) {
   auto owned = std::make_unique<Entry>();
   Entry* entry = owned.get();
   entry->bytes = std::move(image);
-  entry->parent_handle = parent_handle;
-  entry->parent_ticket = parent_ticket;
 
   // Structural parse on the staging thread: O(chunk count), no payload copy,
-  // no hashing. A malformed image is remembered and rejected at commit with
-  // the same error PutImage would have produced.
+  // no hashing. A malformed or delta image is remembered and rejected at
+  // commit with the same error PutImage would have produced.
   CheckpointImageLiteView view(*entry->bytes);
-  size_t payload_chunks = 0;
-  if (view.ok()) {
+  if (!view.ok()) {
+    entry->parse_error = "malformed image: " + view.error();
+  } else if (view.delta_ref_count() != 0) {
+    entry->parse_error = "delta image " + std::to_string(view.image_id()) +
+                         ": put its materialized form";
+  } else {
     entry->parsed_ok = true;
     entry->format_version = view.format_version();
     entry->embedded_id = view.image_id();
-    entry->embedded_parent = view.parent_id();
-    entry->delta_ref_count = view.delta_ref_count();
     entry->chunks.reserve(view.chunks().size());
     for (const CheckpointImageLiteView::Chunk& c : view.chunks()) {
       StagedChunk sc;
       sc.id = c.id;
-      sc.kind = c.kind;
       sc.declared_crc = c.crc;
       sc.span = c.payload;
       entry->chunks.push_back(std::move(sc));
-      payload_chunks += c.kind == kChunkKindPayload ? 1 : 0;
     }
-  } else {
-    entry->parse_error = "malformed image: " + view.error();
   }
 
   uint64_t ticket = 0;
-  const bool hash = entry->parsed_ok && payload_chunks != 0;
+  const bool hash = !entry->chunks.empty();
   {
     std::lock_guard<std::mutex> lock(mu_);
     ticket = entries_.size() + 1;
@@ -68,11 +63,9 @@ uint64_t RepoWriteBatch::Stage(
 }
 
 uint64_t RepoWriteBatch::Stage(std::vector<uint8_t>&& image,
-                               uint64_t parent_handle, uint64_t parent_ticket,
                                uint64_t sequence) {
-  return Stage(
-      std::make_shared<const std::vector<uint8_t>>(std::move(image)),
-      parent_handle, parent_ticket, sequence);
+  return Stage(std::make_shared<const std::vector<uint8_t>>(std::move(image)),
+               sequence);
 }
 
 size_t RepoWriteBatch::staged_count() const {
@@ -87,9 +80,6 @@ uint64_t RepoWriteBatch::staged_bytes() const {
 
 void RepoWriteBatch::HashEntry(Entry* entry) {
   for (StagedChunk& sc : entry->chunks) {
-    if (sc.kind != kChunkKindPayload) {
-      continue;
-    }
     sc.key = ContentKeyOf(sc.span.data, sc.span.size);
     // The envelope's declared CRC is re-proven against the actual bytes —
     // the same integrity gate CheckpointImageView applied eagerly, moved off

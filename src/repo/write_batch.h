@@ -48,20 +48,17 @@ class RepoWriteBatch {
   RepoWriteBatch(const RepoWriteBatch&) = delete;
   RepoWriteBatch& operator=(const RepoWriteBatch&) = delete;
 
-  // Stages one serialized image (format v1 or v2, full or delta) and returns
-  // its 1-based ticket — the index of its handle in the commit result.
-  // Rejections surface at commit, never here. A delta image names its parent
-  // either by committed repository handle (`parent_handle`) or, for a parent
-  // staged in this same batch, by that parent's ticket (`parent_ticket`,
-  // which must sort before the child). `sequence` fixes the commit order
-  // between concurrent stagers (e.g. the partition id); ties break by ticket.
+  // Stages one serialized self-contained image (format v1, or v2 without
+  // delta refs) and returns its 1-based ticket — the index of its handle in
+  // the commit result. Rejections surface at commit, never here; a delta
+  // image is one (ImageStore owns delta chains: put its materialized form).
+  // `sequence` fixes the commit order between concurrent stagers (e.g. the
+  // partition id); ties break by ticket.
   uint64_t Stage(std::shared_ptr<const std::vector<uint8_t>> image,
-                 uint64_t parent_handle = 0, uint64_t parent_ticket = 0,
                  uint64_t sequence = kSequenceStageOrder);
   // Ownership-transfer convenience for callers holding a plain buffer (e.g.
   // straight out of ArchiveWriter::Take()).
-  uint64_t Stage(std::vector<uint8_t>&& image, uint64_t parent_handle = 0,
-                 uint64_t parent_ticket = 0,
+  uint64_t Stage(std::vector<uint8_t>&& image,
                  uint64_t sequence = kSequenceStageOrder);
 
   size_t staged_count() const;
@@ -72,8 +69,7 @@ class RepoWriteBatch {
 
   struct StagedChunk {
     std::string id;
-    uint8_t kind = 0;
-    uint32_t declared_crc = 0;  // payload: envelope CRC; delta ref: parent pin
+    uint32_t declared_crc = 0;  // envelope CRC
     ByteSpan span;              // payload bytes inside `Entry::bytes`
     ContentKey key;             // filled by the hashing task
     bool crc_ok = false;        // computed CRC == declared CRC
@@ -85,22 +81,18 @@ class RepoWriteBatch {
     uint64_t ticket = 0;
     uint64_t sequence = 0;
     std::shared_ptr<const std::vector<uint8_t>> bytes;
-    uint64_t parent_handle = 0;
-    uint64_t parent_ticket = 0;
     bool parsed_ok = false;
     std::string parse_error;
     uint32_t format_version = 0;
     uint64_t embedded_id = 0;
-    uint64_t embedded_parent = 0;
-    size_t delta_ref_count = 0;
     std::vector<StagedChunk> chunks;
   };
 
   explicit RepoWriteBatch(CheckpointRepo* repo);
 
-  // Hashing-pool task: content keys + CRC verdicts for one entry's payload
-  // chunks. The entry is exclusively the task's until the pending count drops
-  // under mu_ — the commit thread only reads entries after WaitHashed().
+  // Hashing-pool task: content keys + CRC verdicts for one entry's chunks.
+  // The entry is exclusively the task's until the pending count drops under
+  // mu_ — the commit thread only reads entries after WaitHashed().
   void HashEntry(Entry* entry);
   void WaitHashed();
 

@@ -1,8 +1,9 @@
 // The durable checkpoint repository: put/materialize byte-fidelity against
-// the in-memory ImageStore oracle, content dedup, delta-chain storage and
-// compaction, refcount GC with epoch switch, and crash recovery — including
-// an every-byte truncation sweep of both the journal and the segment (the
-// sanitize-preset run of this file is the no-UB durability acceptance check).
+// the in-memory ImageStore oracle (which owns delta chains; the repository
+// takes materialized generations), content dedup, refcount accounting and GC
+// with epoch switch, and crash recovery — including an every-byte truncation
+// sweep of both the journal and the segment (the sanitize-preset run of this
+// file is the no-UB durability acceptance check).
 
 #include <gtest/gtest.h>
 
@@ -11,10 +12,13 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <map>
 #include <memory>
+#include <random>
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/checkpoint/epoch_coordinator.h"
@@ -72,6 +76,8 @@ std::vector<uint8_t> FullImage(uint64_t id, uint64_t a, uint64_t b) {
 }
 
 // A delta image: chunk "a" changed, chunk "b" pinned to the parent's content.
+// The repository rejects it; its materialized form is FullImage(id, a,
+// parent_b), or ImageStore::Materialize(id) once the chain is in a store.
 std::vector<uint8_t> DeltaImage(uint64_t id, uint64_t parent, uint64_t a,
                                 uint64_t parent_b) {
   CheckpointImageBuilder builder;
@@ -84,25 +90,35 @@ std::vector<uint8_t> DeltaImage(uint64_t id, uint64_t parent, uint64_t a,
 // --- Put / Materialize fidelity ------------------------------------------------
 
 TEST_F(RepoTest, MaterializeMatchesImageStoreOracle) {
-  // The same images through both stores: the repository's disk materialization
-  // must be byte-identical to the in-memory ImageStore's.
+  // A 3-generation delta chain owned by the in-memory ImageStore; the
+  // repository receives each generation's materialized form. Its disk
+  // materialization must be byte-identical to the store's, and content
+  // addressing must make every later put append exactly its changed payload
+  // ("a"): the unchanged "b" dedups to the first generation's record.
   ImageStore store;
+  ASSERT_EQ(store.Put(FullImage(1, 10, 20)), 1u);
+  ASSERT_EQ(store.Put(DeltaImage(2, 1, 11, 20)), 2u);
+  ASSERT_EQ(store.Put(DeltaImage(3, 2, 12, 20)), 3u);
   auto repo = OpenRepo();
 
-  const std::vector<uint8_t> full = FullImage(1, 10, 20);
-  const std::vector<uint8_t> delta = DeltaImage(2, 1, 11, 20);
-  ASSERT_EQ(store.Put(full), 1u);
-  ASSERT_EQ(store.Put(delta), 2u);
-  const uint64_t h1 = repo->PutImage(full);
-  ASSERT_NE(h1, 0u) << repo->error();
-  const uint64_t h2 = repo->PutImage(delta, h1);
-  ASSERT_NE(h2, 0u) << repo->error();
-
-  EXPECT_EQ(repo->Materialize(h1), store.Materialize(1));
-  EXPECT_EQ(repo->Materialize(h2), store.Materialize(2));
-  EXPECT_EQ(repo->ChainDepth(h1), 0u);
-  EXPECT_EQ(repo->ChainDepth(h2), 1u);
-  EXPECT_EQ(repo->ParentHandleOf(h2), h1);
+  const uint64_t payload = PayloadOf(0).size();
+  std::vector<uint64_t> handles;
+  for (uint64_t id = 1; id <= 3; ++id) {
+    const uint64_t physical_before = repo->physical_put_bytes();
+    const uint64_t segment_before = repo->segment_bytes();
+    const uint64_t handle = repo->PutImage(store.Materialize(id));
+    ASSERT_NE(handle, 0u) << repo->error();
+    handles.push_back(handle);
+    const uint64_t changed = id == 1 ? 2 : 1;
+    EXPECT_EQ(repo->physical_put_bytes() - physical_before, changed * payload)
+        << "generation " << id;
+    EXPECT_EQ(repo->segment_bytes() - segment_before,
+              changed * (kSegmentRecordOverhead + payload))
+        << "generation " << id;
+  }
+  for (uint64_t id = 1; id <= 3; ++id) {
+    EXPECT_EQ(repo->Materialize(handles[id - 1]), store.Materialize(id));
+  }
 }
 
 TEST_F(RepoTest, DedupStoresSharedPayloadsOnce) {
@@ -120,67 +136,46 @@ TEST_F(RepoTest, RejectsBadPuts) {
   const uint64_t h1 = repo->PutImage(FullImage(1, 10, 20));
   ASSERT_NE(h1, 0u);
 
+  const uint64_t segment_before = repo->segment_bytes();
+
   // Garbage bytes.
   EXPECT_EQ(repo->PutImage(std::vector<uint8_t>{1, 2, 3}), 0u);
   EXPECT_FALSE(repo->error().empty());
-  // A delta without its parent's handle.
+  // A delta image, even one whose parent is stored: ImageStore owns delta
+  // chains, and the repository takes only the materialized form.
   EXPECT_EQ(repo->PutImage(DeltaImage(2, 1, 11, 20)), 0u);
-  // A delta naming a parent the handle does not hold.
-  EXPECT_EQ(repo->PutImage(DeltaImage(2, 99, 11, 20), h1), 0u);
-  // A delta whose CRC pin does not match the parent's actual content.
-  EXPECT_EQ(repo->PutImage(DeltaImage(2, 1, 11, /*parent_b=*/999), h1), 0u);
-  EXPECT_NE(repo->error().find("delta ref"), std::string::npos)
+  EXPECT_NE(repo->error().find("delta image"), std::string::npos)
       << repo->error();
   // Rejections leave the repository unchanged.
   EXPECT_EQ(repo->image_count(), 1u);
+  EXPECT_EQ(repo->segment_bytes(), segment_before);
 }
 
-// --- Retire / compaction / GC --------------------------------------------------
+// --- Retire / GC -------------------------------------------------------------
 
-TEST_F(RepoTest, RetiredAncestorStaysResolvableForLiveDeltas) {
+TEST_F(RepoTest, RetiringAParentLeavesItsSuccessorMaterializable) {
+  ImageStore store;
+  ASSERT_EQ(store.Put(FullImage(1, 10, 20)), 1u);
+  ASSERT_EQ(store.Put(DeltaImage(2, 1, 11, 20)), 2u);
   auto repo = OpenRepo();
-  const uint64_t h1 = repo->PutImage(FullImage(1, 10, 20));
-  const uint64_t h2 = repo->PutImage(DeltaImage(2, 1, 11, 20), h1);
+  const uint64_t h1 = repo->PutImage(store.Materialize(1));
+  const uint64_t h2 = repo->PutImage(store.Materialize(2));
   ASSERT_NE(h2, 0u) << repo->error();
 
   ASSERT_TRUE(repo->RetireImage(h1));
   EXPECT_FALSE(repo->IsLive(h1));
   EXPECT_TRUE(repo->Materialize(h1).empty());  // retired: not materializable
-  // ...but the live delta still resolves through it.
-  EXPECT_FALSE(repo->Materialize(h2).empty()) << repo->error();
-  EXPECT_EQ(repo->garbage_payload_bytes(), 0u);
+  // ...but its successor holds every chunk it needs.
+  EXPECT_EQ(repo->Materialize(h2), store.Materialize(2)) << repo->error();
+  // The parent-only payload ("a" = 10) is garbage now; the shared "b" is not.
+  EXPECT_EQ(repo->garbage_payload_bytes(),
+            kSegmentRecordOverhead + PayloadOf(10).size());
 
   // Double retire fails; retiring the last live image orphans everything.
   EXPECT_FALSE(repo->RetireImage(h1));
   ASSERT_TRUE(repo->RetireImage(h2));
   EXPECT_GT(repo->garbage_payload_bytes(), 0u);
   EXPECT_EQ(repo->live_payload_bytes(), 0u);
-}
-
-TEST_F(RepoTest, CompactionFoldsChainsWithoutChangingBytes) {
-  ImageStore store;
-  auto repo = OpenRepo();
-  store.Put(FullImage(1, 10, 20));
-  store.Put(DeltaImage(2, 1, 11, 20));
-  store.Put(DeltaImage(3, 2, 12, 20));
-  const uint64_t h1 = repo->PutImage(FullImage(1, 10, 20));
-  const uint64_t h2 = repo->PutImage(DeltaImage(2, 1, 11, 20), h1);
-  const uint64_t h3 = repo->PutImage(DeltaImage(3, 2, 12, 20), h2);
-  ASSERT_NE(h3, 0u) << repo->error();
-  ASSERT_EQ(repo->ChainDepth(h3), 2u);
-  const uint64_t segment_before = repo->segment_bytes();
-
-  EXPECT_EQ(repo->CompactChains(), 2u);  // h2 and h3 fold
-  EXPECT_EQ(repo->ChainDepth(h2), 0u);
-  EXPECT_EQ(repo->ChainDepth(h3), 0u);
-  EXPECT_EQ(repo->ParentHandleOf(h3), 0u);
-  // Folding rewrites records, not payloads: the segment did not grow.
-  EXPECT_EQ(repo->segment_bytes(), segment_before);
-  // Materializations are unchanged and still match the oracle.
-  EXPECT_EQ(repo->Materialize(h2), store.Materialize(2));
-  EXPECT_EQ(repo->Materialize(h3), store.Materialize(3));
-  // A second pass finds nothing to fold.
-  EXPECT_EQ(repo->CompactChains(), 0u);
 }
 
 TEST_F(RepoTest, GcReclaimsUnreferencedPayloadsAndSurvivesReopen) {
@@ -190,11 +185,9 @@ TEST_F(RepoTest, GcReclaimsUnreferencedPayloadsAndSurvivesReopen) {
   uint64_t h2 = 0;
   {
     auto repo = OpenRepo();
-    const uint64_t h1 = repo->PutImage(FullImage(1, 10, 20));
-    h2 = repo->PutImage(DeltaImage(2, 1, 11, 20), h1);
+    const uint64_t h1 = repo->PutImage(store.Materialize(1));
+    h2 = repo->PutImage(store.Materialize(2));
     ASSERT_NE(h2, 0u) << repo->error();
-    ASSERT_EQ(repo->CompactChains(), 1u);
-    // After folding, h1 is no longer needed as a chain link.
     ASSERT_TRUE(repo->RetireImage(h1));
     ASSERT_GT(repo->garbage_payload_bytes(), 0u);
 
@@ -215,17 +208,165 @@ TEST_F(RepoTest, GcReclaimsUnreferencedPayloadsAndSurvivesReopen) {
   EXPECT_GT(h3, h2);
 }
 
+// --- Randomized lifecycle ----------------------------------------------------
+
+// 200 seeded operations over a small payload alphabet (so dedup hits are
+// common) and a small live set (so payloads often lose their last
+// reference): full puts, next-generation puts, multi-image batches, retires,
+// GC passes and reopens. An ImageStore owns every chain and is the byte oracle.
+// After each operation the repository's running accounting must equal a
+// from-scratch recount of its definition, and a reopen must reproduce the
+// same values.
+TEST_F(RepoTest, RandomizedLifecycleKeepsRefcountsExact) {
+  constexpr size_t kChunks = 4;
+  constexpr uint64_t kAlphabet = 16;
+  constexpr size_t kMaxLive = 8;
+  std::mt19937_64 rng(15);
+  ImageStore oracle;
+  std::map<uint64_t, std::vector<uint64_t>> values;  // image id -> chunks
+  std::map<uint64_t, uint64_t> live;                 // handle -> image id
+  uint64_t next_id = 1;
+  auto repo = OpenRepo();
+
+  // Adds one image to the oracle — a full image, or (parent != 0) a delta
+  // rewriting one chunk of `parent` — and returns its id.
+  auto add_image = [&](uint64_t parent) {
+    const uint64_t id = next_id++;
+    CheckpointImageBuilder builder;
+    builder.SetDeltaHeader(id, parent);
+    std::vector<uint64_t> v(kChunks);
+    const size_t rewrite = rng() % kChunks;
+    for (size_t c = 0; c < kChunks; ++c) {
+      const std::string chunk = "c" + std::to_string(c);
+      if (parent == 0 || c == rewrite) {
+        v[c] = rng() % kAlphabet;
+        builder.AddChunk(chunk, PayloadOf(v[c]));
+      } else {
+        v[c] = values.at(parent)[c];
+        builder.AddDeltaChunk(chunk, Crc32(PayloadOf(v[c])));
+      }
+    }
+    EXPECT_EQ(oracle.Put(builder.Serialize()), id) << oracle.error();
+    values[id] = v;
+    return id;
+  };
+  auto random_live = [&] {
+    auto it = live.begin();
+    std::advance(it, rng() % live.size());
+    return it;
+  };
+
+  struct Accounting {
+    uint64_t live = 0;
+    uint64_t garbage = 0;
+    uint64_t segment = 0;
+    bool operator==(const Accounting&) const = default;
+  };
+  auto check = [&](const std::string& step) {
+    SCOPED_TRACE(step);
+    std::vector<uint64_t> handles;
+    std::set<ContentKey> keys;
+    for (const auto& [handle, id] : live) {
+      handles.push_back(handle);
+      EXPECT_EQ(repo->Materialize(handle), oracle.Materialize(id))
+          << "handle " << handle;
+      for (const uint64_t v : values.at(id)) {
+        keys.insert(ContentKeyOf(PayloadOf(v)));
+      }
+    }
+    EXPECT_EQ(repo->LiveHandles(), handles);
+    uint64_t recount = 0;
+    for (const ContentKey& key : keys) {
+      recount += kSegmentRecordOverhead + key.size;
+    }
+    EXPECT_EQ(repo->live_payload_bytes(), recount);
+    EXPECT_EQ(repo->garbage_payload_bytes(),
+              repo->segment_bytes() - kSegmentHeaderBytes -
+                  repo->live_payload_bytes());
+    return Accounting{repo->live_payload_bytes(),
+                      repo->garbage_payload_bytes(), repo->segment_bytes()};
+  };
+
+  std::map<std::string, int> ops;
+  for (int step = 0; step < 200; ++step) {
+    // Puts and batches give way to retires once kMaxLive images are live,
+    // so retires keep dropping payloads to zero references.
+    uint64_t roll = rng() % 100;
+    if (roll < 65 && live.size() >= kMaxLive) {
+      roll = 65;
+    }
+    std::string op;
+    if (roll < 50) {
+      const bool full = roll < 20 || live.empty();
+      op = full ? "put full" : "put generation";
+      const uint64_t id = add_image(full ? 0 : random_live()->second);
+      const uint64_t handle = repo->PutImage(oracle.Materialize(id));
+      ASSERT_NE(handle, 0u) << repo->error();
+      live[handle] = id;
+    } else if (roll < 65) {
+      // Generations may build on live images or on earlier entries of the
+      // same batch: materialized, neither needs the other at commit.
+      op = "batch";
+      auto batch = repo->BeginBatch();
+      std::vector<uint64_t> ids;
+      const size_t n = 2 + rng() % 3;
+      for (size_t i = 0; i < n; ++i) {
+        uint64_t parent = 0;
+        if (rng() % 2 == 0 && !live.empty()) {
+          parent = random_live()->second;
+        } else if (rng() % 2 == 0 && !ids.empty()) {
+          parent = ids[rng() % ids.size()];
+        }
+        ids.push_back(add_image(parent));
+        batch->Stage(oracle.Materialize(ids.back()));
+      }
+      const auto result = repo->CommitBatch(std::move(batch));
+      ASSERT_TRUE(result.ok) << result.error;
+      for (size_t i = 0; i < n; ++i) {
+        live[result.handles[i]] = ids[i];
+      }
+    } else if (roll < 85) {
+      if (live.empty()) {
+        continue;
+      }
+      op = "retire";
+      const auto it = random_live();
+      ASSERT_TRUE(repo->RetireImage(it->first)) << repo->error();
+      live.erase(it);
+    } else if (roll < 93) {
+      op = "gc";
+      ASSERT_TRUE(repo->CollectGarbage().ok) << repo->error();
+      EXPECT_EQ(repo->garbage_payload_bytes(), 0u);
+    } else {
+      op = "reopen";
+      const Accounting before = check("step " + std::to_string(step));
+      repo.reset();
+      repo = OpenRepo();
+      ASSERT_NE(repo, nullptr);
+      EXPECT_TRUE(check("reopen at step " + std::to_string(step)) == before);
+    }
+    ++ops[op];
+    check("step " + std::to_string(step) + " (" + op + ")");
+  }
+  // The seed exercised every operation.
+  for (const char* op : {"put full", "put generation", "batch", "retire", "gc",
+                         "reopen"}) {
+    EXPECT_GT(ops[op], 0) << op;
+  }
+}
+
 // --- Recovery ------------------------------------------------------------------
 
 TEST_F(RepoTest, ReopenContinuesWhereTheLastProcessStopped) {
   ImageStore store;
   store.Put(FullImage(1, 10, 20));
   store.Put(DeltaImage(2, 1, 11, 20));
+  store.Put(DeltaImage(3, 2, 12, 20));
   uint64_t h1 = 0, h2 = 0;
   {
     auto repo = OpenRepo();
-    h1 = repo->PutImage(FullImage(1, 10, 20));
-    h2 = repo->PutImage(DeltaImage(2, 1, 11, 20), h1);
+    h1 = repo->PutImage(store.Materialize(1));
+    h2 = repo->PutImage(store.Materialize(2));
     ASSERT_NE(h2, 0u) << repo->error();
   }
   auto repo = OpenRepo();
@@ -233,10 +374,12 @@ TEST_F(RepoTest, ReopenContinuesWhereTheLastProcessStopped) {
   EXPECT_EQ(repo->LiveHandles(), (std::vector<uint64_t>{h1, h2}));
   EXPECT_EQ(repo->Materialize(h1), store.Materialize(1));
   EXPECT_EQ(repo->Materialize(h2), store.Materialize(2));
-  // The chain extends across the restart.
-  const uint64_t h3 = repo->PutImage(DeltaImage(3, 2, 12, 20), h2);
+  // The next generation dedups against payloads stored before the restart:
+  // only its changed "a" is appended.
+  const uint64_t h3 = repo->PutImage(store.Materialize(3));
   ASSERT_NE(h3, 0u) << repo->error();
-  EXPECT_EQ(repo->ChainDepth(h3), 2u);
+  EXPECT_EQ(repo->physical_put_bytes(), PayloadOf(12).size());
+  EXPECT_EQ(repo->Materialize(h3), store.Materialize(3));
 }
 
 TEST_F(RepoTest, TornJournalTailIsDiscarded) {
@@ -287,6 +430,36 @@ TEST_F(RepoTest, FlippedSegmentByteIsRejectedAtOpen) {
   EXPECT_NE(error.find("verification"), std::string::npos) << error;
 }
 
+TEST_F(RepoTest, OldFormatFilesAreRefusedAtOpen) {
+  {
+    auto repo = OpenRepo();
+    ASSERT_NE(repo->PutImage(FullImage(1, 10, 20)), 0u) << repo->error();
+  }
+  // Format 1 stored parent-ref chunk tables; its files must fail the header
+  // check rather than be misparsed as format 2. The version word follows the
+  // 4-byte magic in both files.
+  const std::pair<const char*, const char*> cases[] = {
+      {"journal.1", "bad journal header"}, {"segment.1", "bad segment header"}};
+  for (const auto& [file, message] : cases) {
+    const std::string scratch = dir_ + "_v1";
+    fs::remove_all(scratch);
+    fs::copy(dir_, scratch);
+    {
+      std::fstream f(fs::path(scratch) / file,
+                     std::ios::in | std::ios::out | std::ios::binary);
+      ASSERT_TRUE(f.is_open()) << file;
+      const uint32_t version = 1;
+      f.seekp(4);
+      f.write(reinterpret_cast<const char*>(&version), sizeof version);
+    }
+    std::string error;
+    EXPECT_EQ(CheckpointRepo::Open(scratch, RepoOptions{}, &error), nullptr)
+        << file;
+    EXPECT_NE(error.find(message), std::string::npos) << error;
+    fs::remove_all(scratch);
+  }
+}
+
 // Truncates a copy of the repository's `file` to every possible length and
 // opens it. Every open must either fail cleanly or yield a repository whose
 // surviving live images all materialize — and must never crash.
@@ -320,12 +493,13 @@ void TruncationSweep(const std::string& dir, const std::string& file,
 
 class RepoDurabilityTest : public RepoTest {
  protected:
-  // A small repository exercising every record type: two puts, a delta, a
-  // retire. Closed so all bytes are on disk.
+  // A small repository exercising every record type a put path writes: two
+  // generations sharing a payload, an unrelated image, a retire. Closed so
+  // all bytes are on disk.
   void BuildFixture() {
     auto repo = OpenRepo();
-    const uint64_t h1 = repo->PutImage(FullImage(1, 10, 20));
-    const uint64_t h2 = repo->PutImage(DeltaImage(2, 1, 11, 20), h1);
+    ASSERT_NE(repo->PutImage(FullImage(1, 10, 20)), 0u) << repo->error();
+    const uint64_t h2 = repo->PutImage(FullImage(2, 11, 20));
     ASSERT_NE(h2, 0u) << repo->error();
     ASSERT_NE(repo->PutImage(FullImage(3, 30, 40)), 0u);
     ASSERT_TRUE(repo->RetireImage(3));
@@ -384,8 +558,7 @@ TEST_F(RepoTest, TreePersistsAndReopensDigestIdentical) {
                         RestoreMode::kImage);
     EXPECT_FALSE(branch.empty());
 
-    // Housekeeping passes must not disturb the persisted tree.
-    repo->CompactChains();
+    // A GC pass must not disturb the persisted tree.
     const auto gc = repo->CollectGarbage();
     ASSERT_TRUE(gc.ok) << repo->error();
     reclaimed = gc.reclaimed_bytes;
@@ -401,7 +574,7 @@ TEST_F(RepoTest, TreePersistsAndReopensDigestIdentical) {
   }
 }
 
-// --- End-to-end: engine spill-to-repository delta chains -----------------------
+// --- End-to-end: engine spill-to-repository of a delta-capture chain ---------
 
 TEST_F(RepoTest, EngineSpillChainRestoresDigestIdenticalAcrossHousekeeping) {
   BasicExperimentRun::Params params;
@@ -424,8 +597,9 @@ TEST_F(RepoTest, EngineSpillChainRestoresDigestIdenticalAcrossHousekeeping) {
       ASSERT_NE(handle, 0u) << repo->error();
       gens.push_back({handle, cap.digest});
     }
-    // Later captures really were spilled as deltas: the chain has depth.
-    EXPECT_GT(repo->ChainDepth(gens.back().handle), 0u);
+    // Later captures shared payloads with earlier spills: the repository
+    // stored those once.
+    EXPECT_GT(repo->logical_put_bytes(), repo->physical_put_bytes());
   }
 
   // Fresh process, fresh simulators: every spilled generation restores to
@@ -440,9 +614,8 @@ TEST_F(RepoTest, EngineSpillChainRestoresDigestIdenticalAcrossHousekeeping) {
     EXPECT_EQ(*digest, gen.digest) << "handle " << gen.handle;
   }
 
-  // Compaction, retirement of all but the newest generation, and a GC pass:
-  // the survivor must still restore digest-identical in yet another process.
-  ASSERT_GT(repo->CompactChains(), 0u);
+  // Retirement of all but the newest generation and a GC pass: the survivor
+  // must still restore digest-identical in yet another process.
   for (size_t i = 0; i + 1 < gens.size(); ++i) {
     ASSERT_TRUE(repo->RetireImage(gens[i].handle)) << repo->error();
   }
@@ -474,17 +647,16 @@ TEST_F(RepoTest, BatchCommitsEpochAllAtOnceAndMatchesOracle) {
   const uint64_t committed = repo->PutImage(FullImage(1, 10, 20));
   ASSERT_NE(committed, 0u) << repo->error();
 
-  // One epoch: a full image plus a delta whose parent is staged in the same
-  // batch, named by ticket rather than by a (not yet existing) handle.
+  // One epoch: a full image plus the materialized next generation of it,
+  // staged together. The shared "b" payload is appended once, by the first.
   auto batch = repo->BeginBatch();
   const uint64_t t_full = batch->Stage(FullImage(2, 30, 40));
-  const uint64_t t_delta = batch->Stage(DeltaImage(3, 2, 31, 40),
-                                        /*parent_handle=*/0,
-                                        /*parent_ticket=*/t_full);
+  const uint64_t t_delta = batch->Stage(store.Materialize(3));
   EXPECT_EQ(batch->staged_count(), 2u);
   const auto result = repo->CommitBatch(std::move(batch));
   ASSERT_TRUE(result.ok) << result.error;
   EXPECT_EQ(result.images, 2u);
+  EXPECT_EQ(result.appended_payload_bytes, 3 * PayloadOf(0).size());
   ASSERT_EQ(result.handles.size(), 2u);
   const uint64_t h_full = result.handles[t_full - 1];
   const uint64_t h_delta = result.handles[t_delta - 1];
@@ -492,8 +664,6 @@ TEST_F(RepoTest, BatchCommitsEpochAllAtOnceAndMatchesOracle) {
   ASSERT_NE(h_delta, 0u);
 
   EXPECT_EQ(repo->live_image_count(), 3u);
-  EXPECT_EQ(repo->ParentHandleOf(h_delta), h_full);
-  EXPECT_EQ(repo->ChainDepth(h_delta), 1u);
   EXPECT_EQ(repo->Materialize(h_full), store.Materialize(2));
   EXPECT_EQ(repo->Materialize(h_delta), store.Materialize(3));
 
@@ -514,28 +684,17 @@ TEST_F(RepoTest, BatchRejectionIsAllOrNothing) {
   const uint64_t h1 = repo->PutImage(FullImage(1, 10, 20));
   ASSERT_NE(h1, 0u) << repo->error();
 
-  // Three good images and one bad delta (its CRC pin names content the
-  // parent does not hold): the whole epoch must be refused.
+  // Two good images around a delta image (its parent is even committed):
+  // the whole epoch must be refused.
   auto batch = repo->BeginBatch();
   batch->Stage(FullImage(2, 30, 40));
-  batch->Stage(DeltaImage(3, 1, 11, /*parent_b=*/999), h1);
+  batch->Stage(DeltaImage(3, 1, 11, 20));
   batch->Stage(FullImage(4, 50, 60));
   const auto result = repo->CommitBatch(std::move(batch));
   EXPECT_FALSE(result.ok);
-  EXPECT_NE(result.error.find("delta ref"), std::string::npos) << result.error;
+  EXPECT_NE(result.error.find("delta image"), std::string::npos)
+      << result.error;
   EXPECT_EQ(result.handles, (std::vector<uint64_t>{0, 0, 0}));
-  EXPECT_EQ(repo->live_image_count(), 1u);
-
-  // A staged-parent ordering violation (the child would commit before its
-  // parent) is caught, not silently reordered.
-  auto bad_order = repo->BeginBatch();
-  bad_order->Stage(DeltaImage(3, 2, 31, 40), /*parent_handle=*/0,
-                   /*parent_ticket=*/2, /*sequence=*/1);
-  bad_order->Stage(FullImage(2, 30, 40), 0, 0, /*sequence=*/2);
-  const auto reordered = repo->CommitBatch(std::move(bad_order));
-  EXPECT_FALSE(reordered.ok);
-  EXPECT_NE(reordered.error.find("staged before"), std::string::npos)
-      << reordered.error;
   EXPECT_EQ(repo->live_image_count(), 1u);
 
   // The repository is still fully usable after rejections.
@@ -573,7 +732,7 @@ TEST_F(RepoTest, ConcurrentStagersProduceByteIdenticalRepository) {
   {
     auto batch = seq_repo->BeginBatch();
     for (uint64_t i = 0; i < images.size(); ++i) {
-      batch->Stage(std::vector<uint8_t>(images[i]), 0, 0, /*sequence=*/i + 1);
+      batch->Stage(std::vector<uint8_t>(images[i]), /*sequence=*/i + 1);
     }
     ASSERT_TRUE(seq_repo->CommitBatch(std::move(batch)).ok);
   }
@@ -588,8 +747,7 @@ TEST_F(RepoTest, ConcurrentStagersProduceByteIdenticalRepository) {
     for (int t = 0; t < 4; ++t) {
       stagers.emplace_back([&batch, &images, t] {
         for (uint64_t i = t; i < images.size(); i += 4) {
-          batch->Stage(std::vector<uint8_t>(images[i]), 0, 0,
-                       /*sequence=*/i + 1);
+          batch->Stage(std::vector<uint8_t>(images[i]), /*sequence=*/i + 1);
         }
       });
     }
@@ -667,15 +825,15 @@ TEST_F(RepoTest, FailedCommitLeavesRepositoryOpenableAtPreviousEpoch) {
 class RepoBatchDurabilityTest : public RepoTest {
  protected:
   // One committed image, then one batched epoch of three (a full, a second
-  // full, and a delta on the staged full) — closed so all bytes are on disk.
+  // full, and the materialized next generation of the second) — closed so
+  // all bytes are on disk.
   void BuildBatchedFixture() {
     auto repo = OpenRepo();
     ASSERT_NE(repo->PutImage(FullImage(1, 10, 20)), 0u) << repo->error();
     auto batch = repo->BeginBatch();
     batch->Stage(FullImage(2, 30, 40));
-    const uint64_t parent = batch->Stage(FullImage(3, 50, 60));
-    batch->Stage(DeltaImage(4, 3, 51, 60), /*parent_handle=*/0,
-                 /*parent_ticket=*/parent);
+    batch->Stage(FullImage(3, 50, 60));
+    batch->Stage(FullImage(4, 51, 60));
     const auto result = repo->CommitBatch(std::move(batch));
     ASSERT_TRUE(result.ok) << result.error;
     ASSERT_EQ(repo->live_image_count(), 4u);
@@ -926,7 +1084,7 @@ TEST_F(RepoTest, FsyncModeSurvivesFullLifecycleAndReopen) {
     ASSERT_NE(repo, nullptr) << error;
     const uint64_t h1 = repo->PutImage(FullImage(1, 10, 20));
     ASSERT_NE(h1, 0u) << repo->error();
-    h2 = repo->PutImage(DeltaImage(2, 1, 11, 20), h1);
+    h2 = repo->PutImage(FullImage(2, 11, 20));
     ASSERT_NE(h2, 0u) << repo->error();
     ASSERT_TRUE(repo->RetireImage(h1)) << repo->error();
     const auto gc = repo->CollectGarbage();
