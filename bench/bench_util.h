@@ -9,7 +9,7 @@
 // invoked with --json, the plain-text output is suppressed and BenchMain
 // emits the recorded report as one JSON object on stdout instead — the same
 // numbers, machine-readable, consumed by bench/run_all.sh to build a
-// consolidated JSON document (BENCH_PR5.json by default).
+// consolidated JSON document (BENCH_PR<N>.json; see bench/run_all.sh).
 //
 // Telemetry flags: --trace[=FILE] and --ledger[=FILE] arm the one recorder
 // (obs::TraceSession) in full mode; they differ only in the exporter that

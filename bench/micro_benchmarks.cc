@@ -251,7 +251,7 @@ constexpr size_t kRepoChunkBytes = 4 << 10;
 std::vector<uint8_t> RepoImage(uint64_t id, uint64_t first_seed,
                                uint64_t seed_modulus) {
   CheckpointImageBuilder builder;
-  builder.SetDeltaHeader(id, 0);
+  builder.SetImageId(id);
   std::vector<uint8_t> payload(kRepoChunkBytes);
   for (size_t c = 0; c < kRepoChunks; ++c) {
     uint64_t x = ((first_seed + c) % seed_modulus) * 0x9E3779B97F4A7C15ull + 1;

@@ -1,32 +1,39 @@
-// Delta-capture cost: serialized bytes and capture latency, full vs delta.
+// Chunk reuse: what a capture serializes fresh versus what it copies.
 //
-// The delta image format (format v2) lets a capture reference unchanged
-// component chunks in its parent image instead of re-serializing them. This
+// Every capture publishes a self-contained image, but a component whose
+// version counter has not moved since the previous capture is not read at
+// all: its chunk (payload and CRC) is copied from the previous image. This
 // harness measures what that buys on the canonical "mostly cold state"
 // profile: a guest that wrote a large burst of branch-store data early on
-// (the cold chunk) and then settled into a timer-driven steady state. Full
-// captures pay the cold chunk every checkpoint; delta captures pin it once
-// and emit a 4-byte reference afterwards.
+// (the cold chunk) and then settled into a timer-driven steady state. A full
+// capture serializes the cold chunk every checkpoint; with reuse it is
+// serialized once and copied afterwards.
 //
-// Both modes run the identical deterministic scenario, checkpoint at the
-// same instants, and every image is restored into a fresh node — the state
-// digests must match pairwise across modes (delta restores go through
-// ImageStore::Materialize, exercising the parent chain).
+// Each capture is held frozen and checked against a reference built at the
+// same instant by a plain CheckpointImageBuilder::Add of every component:
+// each component chunk of the published image must equal the reference's.
+// The engine then resumes, and the published image is restored into a fresh
+// node whose digest must equal the original node's after its resume.
 //
 //   $ ./build/bench/tab_delta_capture [--json]
 //
-// Exit code is non-zero when a restore digest mismatches or the steady-state
-// bytes-per-checkpoint reduction falls below 5x.
+// Exit code is non-zero when a chunk or a restore digest mismatches, no chunk
+// is reused, a steady-state chunk was re-serialized although its bytes had
+// not changed (a component without a working version counter), or the
+// steady-state image-to-fresh-bytes ratio falls below 5x.
 
 #include <chrono>
 #include <cstdio>
 #include <functional>
+#include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
 #include "src/checkpoint/local_checkpoint.h"
 #include "src/guest/node.h"
+#include "src/sim/image.h"
 #include "src/sim/simulator.h"
 
 using namespace tcsim;
@@ -38,11 +45,9 @@ constexpr uint64_t kBlocksPerOp = 64;      // blocks per burst write
 constexpr int kCaptures = 8;               // checkpoints in the steady phase
 constexpr SimTime kCaptureSpacing = 500 * kMillisecond;
 
-double WallSeconds(const std::function<void()>& fn) {
-  const auto start = std::chrono::steady_clock::now();
-  fn();
-  const auto stop = std::chrono::steady_clock::now();
-  return std::chrono::duration<double>(stop - start).count();
+double SecondsSince(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+      .count();
 }
 
 NodeConfig BenchNodeConfig() {
@@ -53,17 +58,14 @@ NodeConfig BenchNodeConfig() {
   return cfg;
 }
 
-CheckpointPolicy BenchPolicy(bool delta) {
+CheckpointPolicy BenchPolicy() {
   CheckpointPolicy policy;
   policy.resume_timer_latency = 0;  // digests must be reproducible
-  policy.delta_images = delta;
-  policy.retain_image_chain = true;  // keep the chain materializable by id
   return policy;
 }
 
-// Observable state of a node after a restore; captures from the two modes
-// land at identical instants of the identical workload, so restored digests
-// must match pairwise.
+// Observable state of a node right after a resume; a restored node resumes
+// at the saved instant, so its digest must equal the original's.
 uint64_t NodeDigest(const Simulator& sim, ExperimentNode& node) {
   uint64_t h = 0xCBF29CE484222325ull;
   const auto mix = [&h](uint64_t v) {
@@ -77,20 +79,25 @@ uint64_t NodeDigest(const Simulator& sim, ExperimentNode& node) {
   return h;
 }
 
-struct Capture {
-  uint64_t image_id = 0;
-  uint64_t bytes = 0;
-  size_t payload_chunks = 0;
-  size_t delta_chunks = 0;
-  size_t version_skips = 0;
-  size_t crc_fallbacks = 0;  // delta proven by CRC compare, not version skip
-  double wall_s = 0;
-  std::vector<uint8_t> image;  // self-contained (materialized) bytes
-};
+using ChunkMap = std::map<std::string, std::vector<uint8_t>>;
 
-struct ModeResult {
-  std::vector<Capture> captures;
-  uint64_t delta_refs_stored = 0;  // across the retained chain
+ChunkMap ChunksOf(const std::vector<uint8_t>& image) {
+  ChunkMap chunks;
+  const CheckpointImageView view(image);
+  for (const std::string& id : view.ChunkIds()) {
+    chunks[id] = view.Chunk(id);
+  }
+  return chunks;
+}
+
+struct Capture {
+  CaptureStats stats;
+  double wall_s = 0;             // the capture itself, checks excluded
+  double reference_s = 0;       // plain full serialization of the components
+  bool chunks_match = false;    // published chunks == reference chunks
+  size_t unchanged_chunks = 0;  // reference chunks equal to the previous ones
+  uint64_t digest = 0;          // original node, right after resume
+  std::shared_ptr<const std::vector<uint8_t>> image;
 };
 
 // Restores `image` into a fresh node and returns its state digest, or 0 on
@@ -99,7 +106,7 @@ struct ModeResult {
 uint64_t RestoreDigest(const std::vector<uint8_t>& image) {
   Simulator sim;
   ExperimentNode node(&sim, Rng(7), BenchNodeConfig());
-  LocalCheckpointEngine engine(&sim, &node, BenchPolicy(false));
+  LocalCheckpointEngine engine(&sim, &node, BenchPolicy());
   if (!engine.RestoreImage(image)) {
     return 0;
   }
@@ -107,10 +114,12 @@ uint64_t RestoreDigest(const std::vector<uint8_t>& image) {
   return NodeDigest(sim, node);
 }
 
-ModeResult RunMode(bool delta) {
+std::vector<Capture> RunCaptures() {
   Simulator sim;
   ExperimentNode node(&sim, Rng(7), BenchNodeConfig());
-  LocalCheckpointEngine engine(&sim, &node, BenchPolicy(delta));
+  LocalCheckpointEngine engine(&sim, &node, BenchPolicy());
+  std::vector<Checkpointable*> components;
+  node.AppendCheckpointables(&components);
 
   // Phase 1: the cold chunk — a burst of branch-store writes, chained on
   // completion so the block frontend is drained before any capture.
@@ -128,7 +137,7 @@ ModeResult RunMode(bool delta) {
   sim.Schedule(10 * kMillisecond, [&] { issue(); });
 
   // Phase 2: steady state — a timer loop with no further disk writes; the
-  // branch-store chunk stops changing and becomes delta-referencable.
+  // branch-store chunk stops changing and is reused from then on.
   std::function<void()> tick = [&] {
     node.kernel().Usleep(5 * kMillisecond, [&] { tick(); });
   };
@@ -136,49 +145,63 @@ ModeResult RunMode(bool delta) {
 
   sim.RunUntil(2 * kSecond);
 
-  ModeResult result;
+  std::vector<Capture> captures;
+  ChunkMap previous_reference;
   for (int k = 0; k < kCaptures; ++k) {
     Capture cap;
     bool done = false;
-    cap.wall_s = WallSeconds([&] {
-      engine.CheckpointNow([&](const LocalCheckpointRecord&) { done = true; });
-      while (!done) {
-        sim.RunUntil(sim.Now() + kMillisecond);
-      }
-    });
-    const CaptureStats& stats = engine.last_capture_stats();
-    cap.image_id = stats.image_id;
-    cap.bytes = stats.serialized_bytes;
-    cap.payload_chunks = stats.payload_chunks;
-    cap.delta_chunks = stats.delta_chunks;
-    cap.version_skips = stats.version_skips;
-    cap.crc_fallbacks = stats.crc_fallbacks;
-    // The restore source: delta captures are materialized through the store
-    // (walking the parent chain); full captures come back verbatim.
-    cap.image = engine.image_store().Materialize(cap.image_id);
-    result.captures.push_back(std::move(cap));
+    double check_s = 0;  // time spent on the comparisons below
+    const auto t0 = std::chrono::steady_clock::now();
+    engine.CheckpointAtLocal(
+        node.clock().LocalNow() + kMillisecond,
+        [&](const LocalCheckpointRecord&) {
+          // Held: the state is frozen at the saved instant.
+          const auto r0 = std::chrono::steady_clock::now();
+          CheckpointImageBuilder reference;
+          for (const Checkpointable* c : components) {
+            reference.Add(*c);
+          }
+          const ChunkMap expected = ChunksOf(reference.Serialize());
+          cap.reference_s = SecondsSince(r0);
+
+          cap.image = engine.last_image();  // commits a two-phase capture
+          cap.stats = engine.last_capture_stats();
+          const auto c0 = std::chrono::steady_clock::now();
+          ChunkMap published = ChunksOf(*cap.image);
+          published.erase("sim.time");  // engine metadata, not a component
+          cap.chunks_match = published == expected;
+          for (const auto& [id, bytes] : expected) {
+            const auto it = previous_reference.find(id);
+            if (it != previous_reference.end() && it->second == bytes) {
+              ++cap.unchanged_chunks;
+            }
+          }
+          previous_reference = expected;
+          check_s = cap.reference_s + SecondsSince(c0);
+
+          engine.ResumeNow();
+          cap.digest = NodeDigest(sim, node);
+          done = true;
+        });
+    while (!done) {
+      sim.RunUntil(sim.Now() + kMillisecond);
+    }
+    cap.wall_s = SecondsSince(t0) - check_s;
+    captures.push_back(std::move(cap));
     sim.RunUntil(sim.Now() + kCaptureSpacing);
   }
-  for (const Capture& cap : result.captures) {
-    result.delta_refs_stored += engine.image_store().DeltaRefCount(cap.image_id);
-  }
-  return result;
+  return captures;
 }
 
-double MeanBytes(const ModeResult& r, size_t from) {
+// Mean of `field` over the steady-state captures (all but the first, which
+// has no previous image to reuse from).
+template <typename F>
+double SteadyMean(const std::vector<Capture>& caps, F field) {
   double total = 0;
-  for (size_t i = from; i < r.captures.size(); ++i) {
-    total += static_cast<double>(r.captures[i].bytes);
+  for (size_t i = 1; i < caps.size(); ++i) {
+    total += static_cast<double>(field(caps[i]));
   }
-  return total / static_cast<double>(r.captures.size() - from);
-}
-
-double MeanWallMs(const ModeResult& r, size_t from) {
-  double total = 0;
-  for (size_t i = from; i < r.captures.size(); ++i) {
-    total += r.captures[i].wall_s;
-  }
-  return 1e3 * total / static_cast<double>(r.captures.size() - from);
+  return total / static_cast<double>(caps.size() - 1);
 }
 
 }  // namespace
@@ -186,97 +209,103 @@ double MeanWallMs(const ModeResult& r, size_t from) {
 int main(int argc, char** argv) {
   BenchMain bm(argc, argv, "tab_delta_capture");
 
-  ModeResult full = RunMode(/*delta=*/false);
-  ModeResult delta = RunMode(/*delta=*/true);
+  const std::vector<Capture> caps = RunCaptures();
 
-  // Pairwise restore check: checkpoint k of either mode must restore to the
-  // same observable state.
-  bool restores_match = full.captures.size() == delta.captures.size();
-  for (size_t k = 0; restores_match && k < full.captures.size(); ++k) {
-    const uint64_t df = RestoreDigest(full.captures[k].image);
-    const uint64_t dd = RestoreDigest(delta.captures[k].image);
-    restores_match = df != 0 && df == dd;
+  bool chunks_match = true;
+  bool restores_match = true;
+  size_t steady_reserialized = 0;  // unchanged chunks that were not reused
+  for (size_t k = 0; k < caps.size(); ++k) {
+    chunks_match = chunks_match && caps[k].chunks_match;
+    const uint64_t restored = RestoreDigest(*caps[k].image);
+    restores_match = restores_match && restored != 0 &&
+                     restored == caps[k].digest;
+    // A reused chunk is an unchanged one whenever the chunks match.
+    if (k > 0 && caps[k].unchanged_chunks > caps[k].stats.reused_chunks) {
+      steady_reserialized +=
+          caps[k].unchanged_chunks - caps[k].stats.reused_chunks;
+    }
   }
 
-  // Steady state starts at the second capture: capture 0 has no parent in
-  // delta mode (self-contained by construction) and would dilute the ratio.
-  const double full_bytes = MeanBytes(full, 1);
-  const double delta_bytes = MeanBytes(delta, 1);
-  const double ratio = delta_bytes > 0 ? full_bytes / delta_bytes : 0;
+  const double image_bytes = SteadyMean(
+      caps, [](const Capture& c) { return c.stats.serialized_bytes; });
+  const double fresh_bytes =
+      SteadyMean(caps, [](const Capture& c) { return c.stats.fresh_bytes; });
+  const double ratio = fresh_bytes > 0 ? image_bytes / fresh_bytes : 0;
+  const CaptureStats& last = caps.back().stats;
 
   PrintHeader("tab_delta_capture",
-              "delta vs full checkpoint images (cold burst + steady timers)");
+              "chunk reuse vs fresh serialization (cold burst + steady "
+              "timers)");
 
-  PrintSection("serialized bytes per checkpoint (steady state)");
-  PrintValue("full capture", full_bytes, "B");
-  PrintValue("delta capture", delta_bytes, "B");
+  PrintSection("bytes per checkpoint (steady state)");
+  PrintValue("published image", image_bytes, "B");
+  PrintValue("serialized fresh", fresh_bytes, "B");
   PrintValue("reduction", ratio, "x");
-  PrintValue("first delta capture (self-contained)",
-             static_cast<double>(delta.captures.front().bytes), "B");
+  PrintValue("first capture serialized fresh",
+             static_cast<double>(caps.front().stats.fresh_bytes), "B");
 
   PrintSection("capture latency (host wall clock, steady state)");
-  PrintValue("full capture", MeanWallMs(full, 1), "ms");
-  PrintValue("delta capture", MeanWallMs(delta, 1), "ms");
+  PrintValue("capture with chunk reuse",
+             1e3 * SteadyMean(caps, [](const Capture& c) { return c.wall_s; }),
+             "ms");
+  PrintValue("full serialization of the same state",
+             1e3 * SteadyMean(caps,
+                              [](const Capture& c) { return c.reference_s; }),
+             "ms");
 
-  PrintSection("delta emission (last capture)");
-  PrintValue("payload chunks",
-             static_cast<double>(delta.captures.back().payload_chunks), "");
-  PrintValue("delta-ref chunks",
-             static_cast<double>(delta.captures.back().delta_chunks), "");
+  PrintSection("chunk reuse (last capture)");
+  PrintValue("payload chunks serialized",
+             static_cast<double>(last.payload_chunks), "");
+  PrintValue("reused chunks", static_cast<double>(last.reused_chunks), "");
   PrintValue("version-counter skips (no SaveState run)",
-             static_cast<double>(delta.captures.back().version_skips), "");
-  PrintValue("CRC-compare fallbacks (SaveState re-run, bytes unchanged)",
-             static_cast<double>(delta.captures.back().crc_fallbacks), "");
-  PrintValue("delta refs across retained chain",
-             static_cast<double>(delta.delta_refs_stored), "");
+             static_cast<double>(last.version_skips), "");
+  // With every registered component carrying a real version counter, an
+  // unchanged chunk is reused, never re-serialized. A nonzero count means
+  // some component lost (or never gained) its counter and pays a full
+  // serialization per capture just to produce the same bytes.
+  PrintValue("steady-state unchanged chunks re-serialized (must be 0)",
+             static_cast<double>(steady_reserialized), "");
 
-  // With every registered component carrying a real version counter, no
-  // steady-state delta should need the CRC-compare fallback: an unchanged
-  // chunk is proven unchanged by its counter alone. A nonzero count here
-  // means some component lost (or never gained) its counter and is paying a
-  // full re-serialization per capture just to discover nothing changed.
-  size_t steady_fallbacks = 0;
-  for (size_t k = 1; k < delta.captures.size(); ++k) {
-    steady_fallbacks += delta.captures[k].crc_fallbacks;
-  }
-  const bool fallbacks_zero = steady_fallbacks == 0;
-  PrintValue("steady-state CRC fallbacks (must be 0)",
-             static_cast<double>(steady_fallbacks), "");
-
+  PrintNote(chunks_match
+                ? "every published chunk equals a fresh SaveState at the "
+                  "same instant"
+                : "CHUNK MISMATCH between published image and fresh "
+                  "SaveState");
   PrintNote(restores_match
-                ? "all restores digest-equal across full and delta paths"
-                : "RESTORE DIGEST MISMATCH between full and delta paths");
+                ? "every image restores to the original's digest"
+                : "RESTORE DIGEST MISMATCH");
 
   {
     std::string rows = "[\n";
-    for (size_t k = 0; k < delta.captures.size(); ++k) {
+    for (size_t k = 0; k < caps.size(); ++k) {
+      const CaptureStats& s = caps[k].stats;
       char buf[256];
       std::snprintf(buf, sizeof buf,
-                    "    {\"capture\": %zu, \"full_bytes\": %llu, "
-                    "\"delta_bytes\": %llu, \"delta_chunks\": %zu, "
-                    "\"version_skips\": %zu, \"crc_fallbacks\": %zu}%s\n",
-                    k, static_cast<unsigned long long>(full.captures[k].bytes),
-                    static_cast<unsigned long long>(delta.captures[k].bytes),
-                    delta.captures[k].delta_chunks,
-                    delta.captures[k].version_skips,
-                    delta.captures[k].crc_fallbacks,
-                    k + 1 < delta.captures.size() ? "," : "");
+                    "    {\"capture\": %zu, \"image_bytes\": %zu, "
+                    "\"fresh_bytes\": %zu, \"payload_chunks\": %zu, "
+                    "\"reused_chunks\": %zu, \"version_skips\": %zu}%s\n",
+                    k, s.serialized_bytes, s.fresh_bytes, s.payload_chunks,
+                    s.reused_chunks, s.version_skips,
+                    k + 1 < caps.size() ? "," : "");
       rows += buf;
     }
     rows += "  ]";
-    BenchReport::Instance().AddExtra("captures", rows);
-    BenchReport::Instance().AddExtra("restores_match",
-                                     restores_match ? "true" : "false");
-    BenchReport::Instance().AddExtra("steady_fallbacks_zero",
-                                     fallbacks_zero ? "true" : "false");
+    BenchReport& report = BenchReport::Instance();
+    report.AddExtra("captures", rows);
+    report.AddExtra("chunks_match", chunks_match ? "true" : "false");
+    report.AddExtra("restores_match", restores_match ? "true" : "false");
+    report.AddExtra("steady_reserialized_zero",
+                    steady_reserialized == 0 ? "true" : "false");
   }
 
-  const bool ok = restores_match && ratio >= 5.0 && fallbacks_zero;
-  if (!ok && !JsonQuiet()) {
-    std::printf("\nFAIL: %s\n",
-                !restores_match      ? "restore digests mismatch"
-                : !fallbacks_zero    ? "steady-state CRC fallbacks nonzero"
-                                     : "bytes reduction below 5x");
+  const char* failure = !chunks_match               ? "published chunk mismatch"
+                        : !restores_match           ? "restore digests mismatch"
+                        : last.reused_chunks == 0   ? "no chunk reused"
+                        : steady_reserialized != 0  ? "unchanged chunks re-serialized"
+                        : ratio < 5.0               ? "bytes reduction below 5x"
+                                                    : nullptr;
+  if (failure != nullptr && !JsonQuiet()) {
+    std::printf("\nFAIL: %s\n", failure);
   }
-  return bm.Finish(ok ? 0 : 1);
+  return bm.Finish(failure == nullptr ? 0 : 1);
 }

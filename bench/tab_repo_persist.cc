@@ -3,11 +3,9 @@
 // reports no storage-layer numbers).
 //
 // Measures the wall-clock cost of the repository's verbs over a synthetic
-// capture series shaped like a stateful-swap chain: one full image followed
-// by deltas that each rewrite a few chunks and pin the rest to the parent by
-// CRC. An ImageStore owns the chain; the repository receives each
-// generation's materialized (self-contained) form, and content addressing
-// stores only the rewritten chunks.
+// capture series shaped like a stateful-swap history: 25 self-contained
+// generations, each rewriting a few chunks of its predecessor and carrying
+// the rest unchanged. Content addressing stores only the rewritten chunks.
 //
 //   put          — generation ingestion (logical MB/s, dedup ratio)
 //   materialize  — streaming read-back of every stored image (MB/s)
@@ -31,15 +29,14 @@
 #include "src/repo/checkpoint_repo.h"
 #include "src/sim/digest.h"
 #include "src/sim/image.h"
-#include "src/sim/image_store.h"
 
 namespace tcsim {
 namespace {
 
 constexpr size_t kChunkBytes = 256 * 1024;
 constexpr size_t kChunksPerImage = 16;
-constexpr size_t kDeltaCount = 24;       // chain: 1 full + 24 deltas
-constexpr size_t kRewritesPerDelta = 4;  // chunks changed per delta
+constexpr size_t kGenerations = 25;
+constexpr size_t kRewritesPerGeneration = 4;  // chunks changed per generation
 
 double SecondsSince(std::chrono::steady_clock::time_point t0) {
   const auto dt = std::chrono::steady_clock::now() - t0;
@@ -80,51 +77,32 @@ int Run() {
   constexpr double kMiB = 1024.0 * 1024.0;
   int rc = 0;
 
-  // The evolving guest state: chunk index -> current payload. Deltas rewrite
-  // a sliding window of chunks and pin the rest to the parent by CRC; the
-  // store resolves them, and `images` holds every generation materialized.
-  ImageStore store;
+  // The evolving guest state: chunk index -> current payload. Each
+  // generation after the first rewrites a sliding window of chunks; `images`
+  // holds every generation serialized in full.
   std::vector<std::vector<uint8_t>> state(kChunksPerImage);
   uint64_t next_seed = 1;
   for (size_t c = 0; c < kChunksPerImage; ++c) {
     state[c] = ChunkPayload(next_seed++);
   }
   std::vector<std::vector<uint8_t>> images;
-  {
-    CheckpointImageBuilder full;
-    full.SetDeltaHeader(/*image_id=*/1, /*parent_id=*/0);
+  for (size_t g = 0; g < kGenerations; ++g) {
+    const size_t first = (g * kRewritesPerGeneration) % kChunksPerImage;
+    CheckpointImageBuilder generation;
+    generation.SetImageId(g + 1);
     for (size_t c = 0; c < kChunksPerImage; ++c) {
-      full.AddChunk(ChunkId(c), state[c]);
-    }
-    store.Put(full.Serialize());
-  }
-  for (size_t d = 1; d <= kDeltaCount; ++d) {
-    CheckpointImageBuilder delta;
-    delta.SetDeltaHeader(/*image_id=*/d + 1, /*parent_id=*/d);
-    const size_t first = (d * kRewritesPerDelta) % kChunksPerImage;
-    for (size_t c = 0; c < kChunksPerImage; ++c) {
-      const bool rewritten =
-          c >= first && c < first + kRewritesPerDelta;
-      if (rewritten) {
-        // Every third delta reverts its window to the base image's content —
-        // repeated payloads that content addressing must store only once.
-        state[c] = ChunkPayload(d % 3 == 0 ? c + 1 : next_seed++);
-        delta.AddChunk(ChunkId(c), state[c]);
-      } else {
-        delta.AddDeltaChunk(ChunkId(c), Crc32(state[c]));
+      if (g > 0 && c >= first && c < first + kRewritesPerGeneration) {
+        // Every third generation reverts its window to the first one's
+        // content — repeated payloads that content addressing must store
+        // only once.
+        state[c] = ChunkPayload(g % 3 == 0 ? c + 1 : next_seed++);
       }
+      generation.AddChunk(ChunkId(c), state[c]);
     }
-    if (store.Put(delta.Serialize()) == 0) {
-      std::fprintf(stderr, "tab_repo_persist: delta rejected: %s\n",
-                   store.error().c_str());
-      return 1;
-    }
-  }
-  for (uint64_t id = 1; id <= kDeltaCount + 1; ++id) {
-    images.push_back(store.Materialize(id));
+    images.push_back(generation.Serialize());
   }
 
-  PrintSection("put (materialized generations of a delta chain)");
+  PrintSection("put (25 generations, 4 of 16 chunks rewritten each)");
   std::vector<uint64_t> handles;
   const auto put_t0 = std::chrono::steady_clock::now();
   for (const std::vector<uint8_t>& bytes : images) {
@@ -167,7 +145,7 @@ int Run() {
   PrintValue("materialize throughput", mat_mb / mat_s, "MB/s");
 
   if (head_before != images.back()) {
-    PrintNote("MATERIALIZED BYTES DIFFER FROM THE IMAGESTORE ORACLE");
+    PrintNote("MATERIALIZED BYTES DIFFER FROM THE PUT BYTES");
     rc = 1;
   }
 

@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <chrono>
+#include <optional>
 #include <utility>
 
 namespace tcsim {
@@ -36,7 +37,7 @@ LocalCheckpointEngine::LocalCheckpointEngine(Simulator* sim, ExperimentNode* nod
           "checkpoint.engine.serialized_bytes")),
       payload_chunks_counter_(obs::MetricsRegistry::Global().FindCounter(
           "checkpoint.engine.payload_chunks")),
-      delta_chunks_counter_(
+      reused_chunks_counter_(
           obs::MetricsRegistry::Global().FindCounter("checkpoint.engine.delta_chunks")),
       frozen_wall_us_hist_(obs::MetricsRegistry::Global().FindHistogram(
           "checkpoint.engine.frozen_us")),
@@ -149,89 +150,22 @@ void LocalCheckpointEngine::AddCheckpointable(Checkpointable* component) {
   }
 }
 
-void LocalCheckpointEngine::BuildCompositeImage() {
+void LocalCheckpointEngine::StageComponents() {
   const std::vector<Checkpointable*>& components = Components();
-  if (tracks_.size() != components.size()) {
-    tracks_.assign(components.size(), ComponentTrack{});
-  }
-
-  const uint64_t image_id = store_.NextId();
-  const uint64_t parent = policy_.delta_images ? parent_image_id_ : 0;
-  CaptureStats stats;
-  stats.image_id = image_id;
-  stats.parent_id = parent;
-
-  CheckpointImageBuilder builder;
-  builder.SetDeltaHeader(image_id, parent);
-
-  // Engine metadata: the saved instant plus the record and accounting a
-  // restore target needs to continue exactly where the original paused.
-  // Always a payload chunk — it changes at every capture by construction.
-  ArchiveWriter meta;
-  meta.Write<SimTime>(current_.saved_at);
-  meta.Write<SimTime>(current_.request_time);
-  meta.Write<SimTime>(current_.suspended_at);
-  meta.Write<uint64_t>(current_.image_bytes);
-  meta.Write<uint64_t>(residual_dirty_);
-  meta.Write<uint64_t>(saver_.last_image_bytes());
-  rng_.Save(&meta);
-  builder.AddChunk("sim.time", meta.Take());
-  ++stats.payload_chunks;
-
-  for (size_t i = 0; i < components.size(); ++i) {
-    const Checkpointable* component = components[i];
-    ComponentTrack& track = tracks_[i];
-    const uint64_t version = component->state_version();
-
-    // Instrumented component whose mutation counter has not moved since the
-    // parent capture: its serialized bytes are still those pinned by
-    // track.crc, so skip SaveState entirely.
-    if (parent != 0 && track.valid && version != 0 &&
-        version == track.version) {
-      builder.AddDeltaChunk(component->checkpoint_id(), track.crc);
-      ++stats.delta_chunks;
-      ++stats.version_skips;
-      continue;
-    }
-
-    ArchiveWriter w;
-    component->SaveState(&w);
-    std::vector<uint8_t> payload = w.Take();
-    const uint32_t crc = Crc32(payload);
-    if (parent != 0 && track.valid && crc == track.crc) {
-      // Uninstrumented (or over-bumped) component whose bytes came out
-      // identical anyway: still a delta ref, just proven the expensive way.
-      builder.AddDeltaChunk(component->checkpoint_id(), crc);
-      ++stats.delta_chunks;
-      ++stats.crc_fallbacks;
-    } else {
-      builder.AddChunk(component->checkpoint_id(), std::move(payload), crc);
-      ++stats.payload_chunks;
-    }
-    track.version = version;
-    track.crc = crc;
-    track.valid = true;
-  }
-
-  FinishCapture(&builder, stats);
-}
-
-void LocalCheckpointEngine::SnapshotComponents() {
-  const std::vector<Checkpointable*>& components = Components();
-  if (tracks_.size() != components.size()) {
-    tracks_.assign(components.size(), ComponentTrack{});
+  if (captured_versions_.size() != components.size()) {
+    captured_versions_.assign(components.size(), 0);
   }
   assert(!pending_capture_);
   pool_.Acquire(&staged_);
-  pending_parent_ = policy_.delta_images ? parent_image_id_ : 0;
 
-  // All component bytes land back to back in one pinned buffer; after the
-  // first few captures its capacity covers the steady state and the frozen
-  // window performs no allocation for payload bytes.
+  // All fresh bytes land back to back in one pinned buffer; after the first
+  // few captures its capacity covers the steady state and the frozen window
+  // performs no allocation for payload bytes.
   ArchiveWriter w(std::move(staged_.buffer));
 
-  // Engine metadata, staged exactly as BuildCompositeImage writes it. Always
-  // entry 0 and never a version skip.
+  // Engine metadata: the saved instant plus the record and accounting a
+  // restore target needs to continue exactly where the original paused.
+  // Always entry 0 and never a version skip — it changes at every capture.
   {
     StagedEntry meta;
     meta.id = "sim.time";
@@ -249,19 +183,21 @@ void LocalCheckpointEngine::SnapshotComponents() {
 
   for (size_t i = 0; i < components.size(); ++i) {
     const Checkpointable* component = components[i];
-    const ComponentTrack& track = tracks_[i];
     StagedEntry entry;
     entry.id = component->checkpoint_id();
     entry.version = component->state_version();
-    if (pending_parent_ != 0 && track.valid && entry.version != 0 &&
-        entry.version == track.version) {
-      // Dirty tracking says the bytes are unchanged: stage nothing at all —
-      // the background phase emits the delta ref from the tracked CRC.
+    if (entry.version != 0 && entry.version == captured_versions_[i]) {
+      // Instrumented component whose mutation counter has not moved since
+      // the previous capture: its bytes are that image's chunk, so do not
+      // read its state at all.
       entry.version_skip = true;
-      entry.parent_crc = track.crc;
     } else {
       entry.offset = w.size();
-      component->SnapshotState(&w);
+      if (policy_.async_capture) {
+        component->SnapshotState(&w);
+      } else {
+        component->SaveState(&w);
+      }
       entry.size = w.size() - entry.offset;
     }
     staged_.entries.push_back(std::move(entry));
@@ -272,62 +208,11 @@ void LocalCheckpointEngine::SnapshotComponents() {
 }
 
 void LocalCheckpointEngine::EnsureCaptureCommitted() {
-  if (pending_capture_) {
-    CommitPendingCapture();
+  if (!pending_capture_) {
+    return;
   }
-}
-
-void LocalCheckpointEngine::CommitPendingCapture() {
-  assert(pending_capture_);
-  pending_capture_ = false;
-  // A restore between freeze and commit would leave the staged bytes
-  // describing pre-restore state; the pool generation catches that misuse.
-  assert(staged_.generation == pool_.generation());
-
   const auto t0 = std::chrono::steady_clock::now();
-  const uint64_t parent = pending_parent_;
-  CaptureStats stats;
-  stats.image_id = store_.NextId();
-  stats.parent_id = parent;
-
-  CheckpointImageBuilder builder;
-  builder.SetDeltaHeader(stats.image_id, parent);
-
-  for (size_t i = 0; i < staged_.entries.size(); ++i) {
-    const StagedEntry& entry = staged_.entries[i];
-    if (i == 0) {
-      // Engine metadata: always a payload chunk.
-      const uint8_t* p = staged_.entry_data(entry);
-      builder.AddChunk(entry.id, std::vector<uint8_t>(p, p + entry.size));
-      ++stats.payload_chunks;
-      continue;
-    }
-    ComponentTrack& track = tracks_[i - 1];
-    if (entry.version_skip) {
-      builder.AddDeltaChunk(entry.id, entry.parent_crc);
-      ++stats.delta_chunks;
-      ++stats.version_skips;
-      continue;
-    }
-    const uint8_t* p = staged_.entry_data(entry);
-    std::vector<uint8_t> payload(p, p + entry.size);
-    const uint32_t crc = Crc32(payload);
-    if (parent != 0 && track.valid && crc == track.crc) {
-      builder.AddDeltaChunk(entry.id, crc);
-      ++stats.delta_chunks;
-      ++stats.crc_fallbacks;
-    } else {
-      builder.AddChunk(entry.id, std::move(payload), crc);
-      ++stats.payload_chunks;
-    }
-    track.version = entry.version;
-    track.crc = crc;
-    track.valid = true;
-  }
-
-  FinishCapture(&builder, stats);
-  pool_.Release(&staged_);
-
+  CommitCapture();
   const double wall_us = WallMicros(t0, std::chrono::steady_clock::now());
   background_wall_us_hist_->Observe(wall_us);
   obs::Span span(node_->name(), "ckpt.background", "", sim_->Now());
@@ -336,47 +221,70 @@ void LocalCheckpointEngine::CommitPendingCapture() {
            static_cast<double>(last_capture_stats_.serialized_bytes));
 }
 
-void LocalCheckpointEngine::FinishCapture(CheckpointImageBuilder* builder,
-                                          CaptureStats stats) {
-  const uint64_t image_id = stats.image_id;
-  stats.total_chunks = builder->chunk_count();
-  std::vector<uint8_t> bytes = builder->Serialize();
-  stats.serialized_bytes = bytes.size();
+void LocalCheckpointEngine::CommitCapture() {
+  assert(pending_capture_);
+  pending_capture_ = false;
+  // A restore between freeze and commit would leave the staged bytes
+  // describing pre-restore state; the pool generation catches that misuse.
+  assert(staged_.generation == pool_.generation());
 
-  const bool self_contained = stats.delta_chunks == 0;
-  const uint64_t stored_id = store_.Put(std::move(bytes));
-  assert(stored_id == image_id);
-  (void)stored_id;
-  parent_image_id_ = image_id;
+  CaptureStats stats;
+  stats.image_id = next_image_id_++;
+  CheckpointImageBuilder builder;
+  builder.SetImageId(stats.image_id);
+
+  // Both kinds of chunk are borrowed, not copied, until Serialize: fresh ones
+  // from the staging buffer, reused ones from the previous image, whose chunk
+  // order is the staged order (a version skip implies this engine captured
+  // it with the same component list).
+  const std::shared_ptr<const std::vector<uint8_t>> previous = last_image_;
+  std::optional<CheckpointImageLiteView> previous_chunks;
+  for (size_t i = 0; i < staged_.entries.size(); ++i) {
+    const StagedEntry& entry = staged_.entries[i];
+    if (entry.version_skip) {
+      if (!previous_chunks) {
+        previous_chunks.emplace(*previous);
+      }
+      assert(i < previous_chunks->chunks().size());
+      const CheckpointImageLiteView::Chunk& chunk = previous_chunks->chunks()[i];
+      assert(chunk.id == entry.id);
+      builder.AddChunk(entry.id, chunk.payload, chunk.crc);
+      ++stats.reused_chunks;
+      ++stats.version_skips;
+      continue;
+    }
+    const uint8_t* p = staged_.entry_data(entry);
+    builder.AddChunk(entry.id, ByteSpan{p, entry.size}, Crc32(p, entry.size));
+    ++stats.payload_chunks;
+    stats.fresh_bytes += entry.size;
+    if (i > 0) {
+      captured_versions_[i - 1] = entry.version;
+    }
+  }
+
+  stats.total_chunks = builder.chunk_count();
+  last_image_ = std::make_shared<const std::vector<uint8_t>>(builder.Serialize());
+  pool_.Release(&staged_);
+  stats.serialized_bytes = last_image_->size();
   last_capture_stats_ = stats;
 
   captures_counter_->Increment();
   serialized_bytes_counter_->Add(stats.serialized_bytes);
   payload_chunks_counter_->Add(stats.payload_chunks);
-  delta_chunks_counter_->Add(stats.delta_chunks);
+  reused_chunks_counter_->Add(stats.reused_chunks);
   obs::TraceSession::Global().Instant(
       node_->name(), "ckpt.capture", sim_->Now(),
       {{"image_id", static_cast<double>(stats.image_id)},
-       {"parent_id", static_cast<double>(stats.parent_id)},
        {"payload_chunks", static_cast<double>(stats.payload_chunks)},
-       {"delta_chunks", static_cast<double>(stats.delta_chunks)},
-       {"version_skips", static_cast<double>(stats.version_skips)},
+       {"reused_chunks", static_cast<double>(stats.reused_chunks)},
+       {"fresh_bytes", static_cast<double>(stats.fresh_bytes)},
        {"serialized_bytes", static_cast<double>(stats.serialized_bytes)}});
 
-  // Publish a self-contained image: holders (the time-travel tree, swap-out)
-  // restore it without consulting this engine's store. Self-contained
-  // captures share the store's buffer outright — no copy.
-  last_image_ =
-      self_contained
-          ? store_.RawShared(image_id)
-          : std::make_shared<const std::vector<uint8_t>>(
-                store_.Materialize(image_id));
-
-  // Spill-to-repository: persist the published self-contained image. Its
-  // chunks that a delta capture left unchanged carry the content keys of the
-  // previous spill's, so the repository dedups them and the segment grows by
-  // the changed payloads only. The batch shares the buffer — the only bytes
-  // copied on this path are the ones the segment file writes to disk.
+  // Spill-to-repository: persist the published image. Its reused chunks
+  // carry the content keys of the previous spill's, so the repository dedups
+  // them and the segment grows by the changed payloads only. The batch shares
+  // the buffer — the only bytes copied on this path are the ones the segment
+  // file writes to disk.
   if (repo_ != nullptr) {
     std::unique_ptr<RepoWriteBatch> batch = repo_->BeginBatch();
     batch->Stage(last_image_);
@@ -385,12 +293,7 @@ void LocalCheckpointEngine::FinishCapture(CheckpointImageBuilder* builder,
     last_repo_handle_ = result.ok ? result.handles[0] : 0;
     obs::TraceSession::Global().Instant(
         node_->name(), "repo.spill", sim_->Now(),
-        {{"handle", static_cast<double>(last_repo_handle_)},
-         {"delta", self_contained ? 0.0 : 1.0}});
-  }
-
-  if (!policy_.retain_image_chain) {
-    store_.PruneExcept(image_id);
+        {{"handle", static_cast<double>(last_repo_handle_)}});
   }
 }
 
@@ -403,11 +306,6 @@ bool LocalCheckpointEngine::RestoreImage(const std::vector<uint8_t>& image_bytes
   assert(!in_progress_);
   CheckpointImageView view(image_bytes);
   if (!view.ok() || !view.HasChunk("sim.time")) {
-    return false;
-  }
-  if (view.is_delta()) {
-    // An unresolved delta image cannot prime a run: its unchanged chunks
-    // live in the parent chain. Materialize through an ImageStore first.
     return false;
   }
   ArchiveReader meta(view.Chunk("sim.time"));
@@ -440,13 +338,12 @@ bool LocalCheckpointEngine::RestoreImage(const std::vector<uint8_t>& image_bytes
   saver_.RestoreImageBytes(saver_bytes);
   last_image_ = std::make_shared<const std::vector<uint8_t>>(image_bytes);
 
-  // Delta tracking is void after a restore: component state now reflects the
-  // installed image, not the engine's last capture. The next checkpoint is
-  // self-contained and restarts the chain. Any staging buffer acquired
-  // before this point is poisoned too — staged bytes describe pre-restore
-  // state and must never be committed (CommitPendingCapture asserts).
-  parent_image_id_ = 0;
-  tracks_.clear();
+  // Version tracking is void after a restore: the components' counters no
+  // longer describe the chunks of last_image_, so the next capture
+  // serializes everything. Any staging buffer acquired before this point is
+  // poisoned too — staged bytes describe pre-restore state and must never be
+  // committed (CommitCapture asserts).
+  captured_versions_.clear();
   pool_.InvalidateAll();
 
   in_progress_ = true;
@@ -475,14 +372,13 @@ void LocalCheckpointEngine::OnStateSaved() {
   save_span_ = 0;
   // Capture point: inside the suspended window, after the memory image is
   // saved and before any resume. Two-phase capture only clones state into
-  // staging buffers here and defers the serialize/diff/spill work to the
+  // staging buffers here and defers the serialize/reuse/spill work to the
   // commit at resume; the synchronous baseline does everything now.
   {
     const auto t0 = std::chrono::steady_clock::now();
-    if (policy_.async_capture) {
-      SnapshotComponents();
-    } else {
-      BuildCompositeImage();
+    StageComponents();
+    if (!policy_.async_capture) {
+      CommitCapture();
     }
     frozen_wall_us_hist_->Observe(
         WallMicros(t0, std::chrono::steady_clock::now()));
@@ -526,7 +422,7 @@ void LocalCheckpointEngine::AtomicResume() {
   frozen_span_ = 0;
 
   // Background half of a two-phase capture: the frozen window is over, so
-  // serialize/diff/spill now (unless an accessor already forced it while the
+  // serialize/reuse/spill now (unless an accessor already forced it while the
   // engine was held). Runs before the saved callback fires so consumers of
   // last_image() in the callback observe the committed capture.
   EnsureCaptureCommitted();

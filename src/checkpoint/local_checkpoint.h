@@ -31,7 +31,6 @@
 #include "src/repo/checkpoint_repo.h"
 #include "src/sim/checkpointable.h"
 #include "src/sim/image.h"
-#include "src/sim/image_store.h"
 #include "src/sim/staging.h"
 #include "src/sim/random.h"
 #include "src/sim/simulator.h"
@@ -60,23 +59,9 @@ struct CheckpointPolicy {
   // accumulate — the empirical transparency limit of Figure 4 (~80 us).
   SimTime resume_timer_latency = 40 * kMicrosecond;
 
-  // Emit format-v2 delta images: components unchanged since the previous
-  // capture become delta-ref chunks (a CRC pin into the parent image) instead
-  // of re-serialized payloads — the capture path becomes O(changed state).
-  // Disabling this re-serializes everything into self-contained images (the
-  // PR-2 baseline, and what tab_delta_capture compares against).
-  bool delta_images = true;
-
-  // Keep the whole parent chain in the engine's image store. Off by default:
-  // the store is pruned to the latest capture after each checkpoint, which
-  // bounds memory while still allowing delta emission against that parent.
-  // Tests and the time-travel bench turn this on to materialize arbitrary
-  // chain members later.
-  bool retain_image_chain = false;
-
   // Two-phase capture: during the frozen window only clone component state
   // into reusable staging buffers (SnapshotState, no framing/CRC/repo I/O);
-  // defer serialization, delta diffing, and the repository spill to a commit
+  // defer serialization, chunk reuse, and the repository spill to a commit
   // step that runs after the atomic resume. The emitted image is byte-
   // identical to the synchronous path (test-enforced); only the frozen
   // window shrinks. Disabling reverts to serialize-inside-the-freeze.
@@ -85,21 +70,20 @@ struct CheckpointPolicy {
   LiveMemorySaver::Params saver;
 };
 
-// What the last capture actually emitted — the observability surface for the
-// delta path (printed by bench/tab_delta_capture, asserted by tests).
+// What the last capture actually did — the observability surface for chunk
+// reuse (printed by bench/tab_delta_capture, asserted by tests). Every
+// capture publishes a self-contained image; the counters say how much of it
+// was serialized fresh and how much was copied from the previous image.
 struct CaptureStats {
   uint64_t image_id = 0;
-  uint64_t parent_id = 0;       // 0 = self-contained capture
   size_t total_chunks = 0;
-  size_t payload_chunks = 0;    // re-serialized (changed or first capture)
-  size_t delta_chunks = 0;      // unchanged, emitted as parent CRC refs
-  size_t version_skips = 0;     // delta chunks proven by version counter alone
-                                // (component was never re-serialized)
-  size_t crc_fallbacks = 0;     // delta chunks proven the expensive way: the
-                                // component was re-serialized and its CRC
-                                // matched the parent (uninstrumented or
-                                // over-bumped state_version)
-  size_t serialized_bytes = 0;  // size of the emitted (possibly delta) image
+  size_t payload_chunks = 0;    // serialized at this capture
+  size_t reused_chunks = 0;     // copied from the previous capture's image
+  size_t version_skips = 0;     // components whose state was not read at all
+                                // (unchanged version counter); each one is a
+                                // reused chunk
+  size_t fresh_bytes = 0;       // payload bytes of the serialized chunks
+  size_t serialized_bytes = 0;  // size of the published image
 };
 
 // Drives local checkpoints of one ExperimentNode. Also implements
@@ -146,9 +130,10 @@ class LocalCheckpointEngine : public CheckpointParticipant {
 
   // The composite image captured by the last completed save; null before
   // the first checkpoint. Shared, so time-travel tree nodes can retain
-  // thousands of images cheaply. Always self-contained (materialized from
-  // the delta chain when delta capture is on), so holders can restore it
-  // without consulting the engine's image store.
+  // thousands of images cheaply. Always self-contained: a component whose
+  // version counter has not moved since the previous capture gets that
+  // capture's chunk copied in (payload and CRC), everything else is
+  // serialized fresh, and the image ids run 1, 2, 3, ... per engine.
   //
   // These accessors force any pending two-phase capture to commit first
   // (EnsureCaptureCommitted), so a held engine — saved but not yet resumed —
@@ -158,39 +143,23 @@ class LocalCheckpointEngine : public CheckpointParticipant {
     return last_image_;
   }
 
-  // Store id of the last captured image (0 before the first checkpoint).
-  // With policy().retain_image_chain, image_store() holds the whole chain
-  // and can materialize any earlier capture by id.
-  uint64_t last_image_id() {
-    EnsureCaptureCommitted();
-    return parent_image_id_;
-  }
-
-  // Emission breakdown of the last capture (delta vs payload chunks, bytes).
+  // Emission breakdown of the last capture (reused vs fresh chunks, bytes).
   const CaptureStats& last_capture_stats() {
     EnsureCaptureCommitted();
     return last_capture_stats_;
   }
 
-  // The engine's image store: owns the capture chain, materializes full
-  // images by id, and hard-rejects broken chains on ingest.
-  ImageStore& image_store() {
-    EnsureCaptureCommitted();
-    return store_;
-  }
-
-  // Commits a pending two-phase capture (serialize + delta diff + store +
-  // repo spill) if one is staged; no-op otherwise. Called automatically at
-  // atomic resume and from the accessors above.
+  // Commits a pending two-phase capture (serialize + chunk reuse + repo
+  // spill) if one is staged; no-op otherwise. Called automatically at atomic
+  // resume and from the accessors above.
   void EnsureCaptureCommitted();
 
   // --- Spill-to-repository mode ------------------------------------------------
   //
   // With a repository attached, every capture is also put durably, as the
-  // self-contained last_image(): this engine's ImageStore owns the delta
-  // chain, and the repository's content addressing dedups the chunks a
-  // capture left unchanged, so the per-capture disk cost is O(changed state)
-  // too. Pass null to detach.
+  // self-contained last_image(): the repository's content addressing dedups
+  // the chunks a capture left unchanged, so the per-capture disk cost is
+  // O(changed state). Pass null to detach.
   void AttachRepository(CheckpointRepo* repo);
 
   // Repository handle of the last spilled capture (0 before the first
@@ -202,10 +171,9 @@ class LocalCheckpointEngine : public CheckpointParticipant {
 
   // Applies a composite image to this engine's (freshly built, running)
   // experiment and leaves it suspended-held at the saved instant. Returns
-  // false without touching the run if the container is malformed (bad
-  // magic, unsupported version, truncated, or CRC mismatch), if it still
-  // contains unresolved delta-ref chunks (materialize through an ImageStore
-  // first), or the engine metadata chunk is missing. Components without a
+  // false without touching the run if the container is malformed (see
+  // CheckpointImageView) or the engine metadata chunk is missing. The next
+  // capture serializes every component fresh. Components without a
   // matching chunk keep their freshly built state (forward compatibility).
   bool RestoreImage(const std::vector<uint8_t>& image_bytes);
 
@@ -223,23 +191,19 @@ class LocalCheckpointEngine : public CheckpointParticipant {
   // The node's components plus registered extras, built on first use.
   const std::vector<Checkpointable*>& Components();
 
-  // Synchronous capture: serializes all components into the composite
-  // container inside the frozen window and publishes it as last_image().
-  void BuildCompositeImage();
+  // Capture, first half: writes the engine metadata and every changed
+  // component's state into the staging buffer, and marks the components
+  // whose version counter has not moved as version skips (no bytes staged).
+  // Runs inside the frozen window and does no framing, CRC, or repo I/O. The
+  // two-phase path reads state with SnapshotState; the synchronous baseline
+  // reads it with SaveState and commits at once, still frozen.
+  void StageComponents();
 
-  // Two-phase capture, freeze half: clones component state into the staging
-  // buffer (version-skip entries carry no bytes at all). Runs inside the
-  // frozen window; does no framing, CRC, or repo I/O.
-  void SnapshotComponents();
-
-  // Two-phase capture, background half: turns the staged snapshot into the
-  // composite image — byte-identical to what BuildCompositeImage would have
-  // emitted at the freeze point — and publishes/spills it.
-  void CommitPendingCapture();
-
-  // Shared capture tail: serialize the builder, ingest into the store,
-  // publish last_image(), spill to the repository, prune, emit telemetry.
-  void FinishCapture(CheckpointImageBuilder* builder, CaptureStats stats);
+  // Capture, second half: builds the composite image in one pass — fresh
+  // chunks from the staging buffer, version skips copied from the previous
+  // image — then publishes it as last_image(), spills it to the repository
+  // and emits telemetry.
+  void CommitCapture();
 
   Simulator* sim_;
   ExperimentNode* node_;
@@ -260,27 +224,21 @@ class LocalCheckpointEngine : public CheckpointParticipant {
   std::vector<Checkpointable*> extra_components_;
   std::shared_ptr<const std::vector<uint8_t>> last_image_;
 
-  // Per-component capture tracking for delta emission: the version counter
-  // and payload CRC as of the last capture. `valid` means the tracked values
-  // describe a chunk present (directly or via refs) in parent_image_id_.
-  struct ComponentTrack {
-    uint64_t version = 0;
-    uint32_t crc = 0;
-    bool valid = false;
-  };
-
-  ImageStore store_;
-  std::vector<ComponentTrack> tracks_;
-  uint64_t parent_image_id_ = 0;  // 0 = next capture is self-contained
+  // Per-component version counter as of the chunk last_image_ carries for
+  // it; 0 = no reusable chunk (uninstrumented, never captured, or the image
+  // came from a restore). Emptied by RestoreImage and whenever the component
+  // list grows.
+  std::vector<uint64_t> captured_versions_;
+  uint64_t next_image_id_ = 1;
   CaptureStats last_capture_stats_;
 
-  // Two-phase capture state. The staged capture is pinned between the freeze
-  // phase (SnapshotComponents, inside the frozen window) and the background
-  // commit (CommitPendingCapture, after resume or on first accessor touch).
+  // Capture state. The staged capture is pinned between the freeze phase
+  // (StageComponents, inside the frozen window) and the commit (CommitCapture:
+  // at once for synchronous capture; after resume or on first accessor touch
+  // for two-phase capture).
   StagingBufferPool pool_;
   StagedCapture staged_;
   bool pending_capture_ = false;
-  uint64_t pending_parent_ = 0;  // parent id latched at freeze time
 
   CheckpointRepo* repo_ = nullptr;       // not owned
   uint64_t last_repo_handle_ = 0;        // last spilled capture
@@ -295,7 +253,7 @@ class LocalCheckpointEngine : public CheckpointParticipant {
   obs::Counter* image_bytes_counter_;
   obs::Counter* serialized_bytes_counter_;
   obs::Counter* payload_chunks_counter_;
-  obs::Counter* delta_chunks_counter_;
+  obs::Counter* reused_chunks_counter_;  // exported as "delta_chunks"
   obs::Histogram* frozen_wall_us_hist_;      // wall µs of the capture point
                                              // inside the frozen window
   obs::Histogram* background_wall_us_hist_;  // wall µs of the deferred commit

@@ -347,8 +347,8 @@ void Experiment::StatefulSwapIn(bool lazy, std::function<void(const SwapRecord&)
   obs_trace.AddSpanArg(swap_span, "lazy", lazy ? 1.0 : 0.0);
 
   // Read each node's image back from the durable repository and prove it
-  // byte-identical to what the engine's own store would materialize — the
-  // held run resumes from verified state.
+  // byte-identical to the image the engine published — the held run resumes
+  // from verified state.
   if (CheckpointRepo* repo = testbed_->repo(); repo != nullptr) {
     const uint64_t io_before = repo->bytes_read();
     for (const std::string& name : node_order_) {
@@ -359,9 +359,7 @@ void Experiment::StatefulSwapIn(bool lazy, std::function<void(const SwapRecord&)
       LocalCheckpointEngine* engine = nodes_[name].engine.get();
       const std::vector<uint8_t> from_repo =
           repo->Materialize(handle_it->second);
-      const std::vector<uint8_t> expected =
-          engine->image_store().Materialize(engine->last_image_id());
-      if (from_repo.empty() || from_repo != expected) {
+      if (from_repo.empty() || from_repo != *engine->last_image()) {
         record->repo_verified = false;
       }
     }

@@ -539,7 +539,7 @@ std::vector<uint8_t> CheckpointRepo::Materialize(uint64_t handle) {
     return {};
   }
   CheckpointImageBuilder builder;
-  builder.SetDeltaHeader(rec.embedded_id, 0);
+  builder.SetImageId(rec.embedded_id);
   std::vector<uint8_t> payload;
   for (const ChunkRef& cr : rec.chunks) {
     if (!segment_->ReadPayload(cr.offset, cr.key, &payload)) {

@@ -9,9 +9,9 @@
 //     └── SegmentFile   append-only, content-addressed chunk payloads
 //
 // Key properties:
-//  - Self-contained images only: ImageStore (src/sim/image_store.h) is the
-//    one owner of delta chains, so callers put materialized images and a
-//    delta image is rejected. Content addressing makes that free on disk.
+//  - Self-contained images: every image carries all of its chunks (the
+//    image format has no references to other images), and content
+//    addressing makes the unchanged ones free on disk.
 //  - Content-addressed dedup: a payload is stored once per repository no
 //    matter how many images reference it, so successive generations' shared
 //    chunks (and identical chunks across unrelated images) cost one copy.
@@ -28,9 +28,9 @@
 //    count is exact at all times. GC rewrites the (segment, journal) pair
 //    with the live records and their payloads only, installing the new epoch
 //    by an atomic CURRENT rename.
-//  - Materialize(handle) rebuilds the stored image as a self-contained
-//    composite image (src/sim/image.h), byte-identical to what the in-memory
-//    ImageStore::Materialize produces for the same image.
+//  - Materialize(handle) rebuilds the stored image as a format-v2 composite
+//    image (src/sim/image.h): exactly the put bytes for a v2 image, and a v1
+//    image's chunks under the handle as its id.
 
 #ifndef TCSIM_SRC_REPO_CHECKPOINT_REPO_H_
 #define TCSIM_SRC_REPO_CHECKPOINT_REPO_H_
@@ -80,10 +80,10 @@ class CheckpointRepo {
   CheckpointRepo(const CheckpointRepo&) = delete;
   CheckpointRepo& operator=(const CheckpointRepo&) = delete;
 
-  // Stores a serialized self-contained composite image (format v1, or v2
-  // without delta refs) and returns its repository handle (monotonic, never
-  // reused), or 0 on rejection (error() says why; the repository is
-  // unchanged). Malformed, CRC-mismatched and delta images are rejected.
+  // Stores a serialized composite image (format v1 or v2) and returns its
+  // repository handle (monotonic, never reused), or 0 on rejection (error()
+  // says why; the repository is unchanged). Malformed and CRC-mismatched
+  // images are rejected.
   uint64_t PutImage(const std::vector<uint8_t>& image_bytes);
 
   // --- Batched group commit ----------------------------------------------------

@@ -21,14 +21,11 @@ uint64_t RepoWriteBatch::Stage(
   entry->bytes = std::move(image);
 
   // Structural parse on the staging thread: O(chunk count), no payload copy,
-  // no hashing. A malformed or delta image is remembered and rejected at
-  // commit with the same error PutImage would have produced.
+  // no hashing. A malformed image is remembered and rejected at commit with
+  // the same error PutImage would have produced.
   CheckpointImageLiteView view(*entry->bytes);
   if (!view.ok()) {
     entry->parse_error = "malformed image: " + view.error();
-  } else if (view.delta_ref_count() != 0) {
-    entry->parse_error = "delta image " + std::to_string(view.image_id()) +
-                         ": put its materialized form";
   } else {
     entry->parsed_ok = true;
     entry->format_version = view.format_version();

@@ -48,10 +48,9 @@ class RepoWriteBatch {
   RepoWriteBatch(const RepoWriteBatch&) = delete;
   RepoWriteBatch& operator=(const RepoWriteBatch&) = delete;
 
-  // Stages one serialized self-contained image (format v1, or v2 without
-  // delta refs) and returns its 1-based ticket — the index of its handle in
-  // the commit result. Rejections surface at commit, never here; a delta
-  // image is one (ImageStore owns delta chains: put its materialized form).
+  // Stages one serialized image (format v1 or v2) and returns its 1-based
+  // ticket — the index of its handle in the commit result. Rejections
+  // surface at commit, never here.
   // `sequence` fixes the commit order between concurrent stagers (e.g. the
   // partition id); ties break by ticket.
   uint64_t Stage(std::shared_ptr<const std::vector<uint8_t>> image,

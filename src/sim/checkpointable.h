@@ -44,7 +44,7 @@ class Checkpointable {
 
   // Freeze-phase fast path for two-phase capture: clone the component's
   // logical state into a staging buffer while the system is quiesced, so the
-  // expensive work (archive framing, CRC, delta diffing, repo I/O) can run in
+  // expensive work (archive framing, CRC, chunk reuse, repo I/O) can run in
   // the background after the system resumes. The bytes written here MUST be
   // identical to what SaveState would have produced at the same quiescent
   // point — the background phase feeds them to the same image builder and the
@@ -54,16 +54,17 @@ class Checkpointable {
   // block instead of field-by-field writes).
   virtual void SnapshotState(ArchiveWriter* w) const { SaveState(w); }
 
-  // Mutation version counter for delta checkpoints. A component that bumps a
+  // Mutation version counter for chunk reuse. A component that bumps a
   // counter on every mutation of serialized state returns it here; the
-  // capture path then skips re-serializing the component when the version is
-  // unchanged since the parent checkpoint. Returning 0 (the default) means
-  // "not instrumented" and the engine falls back to serialize-and-compare-CRC.
+  // capture path then skips reading the component when the version is
+  // unchanged since the previous capture and copies that capture's chunk
+  // instead. Returning 0 (the default) means "not instrumented": the
+  // component is serialized at every capture.
   //
   // Correctness contract: it is always safe to over-bump (a spurious bump
-  // only costs one redundant payload chunk), but an instrumented component
-  // that mutates serialized state WITHOUT bumping produces stale deltas —
-  // that is a checkpoint-corruption bug. Instrument conservatively.
+  // only costs one fresh serialization), but an instrumented component that
+  // mutates serialized state WITHOUT bumping publishes stale bytes — that is
+  // a checkpoint-corruption bug. Instrument conservatively.
   virtual uint64_t state_version() const { return 0; }
 };
 

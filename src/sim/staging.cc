@@ -1,5 +1,6 @@
 #include "src/sim/staging.h"
 
+#include <cassert>
 #include <utility>
 
 #include "src/sim/image.h"
@@ -9,12 +10,9 @@ namespace tcsim {
 std::vector<uint8_t> SerializeStagedImage(const StagedCapture& capture) {
   CheckpointImageBuilder builder;
   for (const StagedEntry& entry : capture.entries) {
-    if (entry.version_skip) {
-      builder.AddDeltaChunk(entry.id, entry.parent_crc);
-    } else {
-      const uint8_t* p = capture.entry_data(entry);
-      builder.AddChunk(entry.id, std::vector<uint8_t>(p, p + entry.size));
-    }
+    assert(!entry.version_skip);
+    const uint8_t* p = capture.entry_data(entry);
+    builder.AddChunk(entry.id, ByteSpan{p, entry.size}, Crc32(p, entry.size));
   }
   return builder.Serialize();
 }

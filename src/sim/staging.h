@@ -30,8 +30,8 @@ namespace tcsim {
 struct StagedEntry {
   std::string id;            // Checkpointable::checkpoint_id()
   uint64_t version = 0;      // state_version() observed at freeze time
-  bool version_skip = false; // true: emit a delta ref, no bytes staged
-  uint32_t parent_crc = 0;   // CRC pinning the delta ref when version_skip
+  bool version_skip = false; // true: no bytes staged; the commit reuses the
+                             // component's chunk of the previous image
   size_t offset = 0;         // byte range inside StagedCapture::buffer
   size_t size = 0;
 };
@@ -55,10 +55,10 @@ struct StagedCapture {
   }
 };
 
-// Background-phase helper: turns a staged capture into a serialized
-// composite image, byte-identical to building the image directly from the
-// components at the freeze point (AddChunk per entry in staged order;
-// version-skip entries become delta refs pinned by their recorded CRC).
+// Background-phase helper: turns a staged capture without version skips
+// into a serialized composite image, byte-identical to building the image
+// directly from the components at the freeze point (AddChunk per entry in
+// staged order).
 std::vector<uint8_t> SerializeStagedImage(const StagedCapture& capture);
 
 // Pool of reusable staging backing vectors. Thread-safe: the background

@@ -11,12 +11,19 @@ constexpr const char* kEndOfTrace = "<end-of-trace>";
 }  // namespace
 
 std::string TraceDiff::Describe() const {
-  if (comparable) {
+  const RecordMismatch& m = first_value_mismatch;
+  if (comparable && m.index == kNoMismatch) {
     return "comparable";
   }
   std::ostringstream out;
-  out << "diverged at record " << first_mismatch << ": '" << mismatch_a
-      << "' vs '" << mismatch_b << "'";
+  if (comparable) {
+    out << "same shape, but record " << m.index << " '" << m.tag
+        << "' differs: value " << m.value_a << " vs " << m.value_b
+        << ", virtual time " << m.time_a << " vs " << m.time_b << " ns";
+  } else {
+    out << "diverged at record " << first_mismatch << ": '" << mismatch_a
+        << "' vs '" << mismatch_b << "'";
+  }
   return out.str();
 }
 
@@ -37,6 +44,11 @@ TraceDiff TraceLog::Compare(const TraceLog& other) const {
     diff.max_time_delta =
         std::max(diff.max_time_delta, std::abs(a.virtual_time - b.virtual_time));
     diff.max_value_delta = std::max(diff.max_value_delta, std::abs(a.value - b.value));
+    TraceDiff::RecordMismatch& m = diff.first_value_mismatch;
+    if (m.index == TraceDiff::kNoMismatch &&
+        (a.value != b.value || a.virtual_time != b.virtual_time)) {
+      m = {i, a.tag, a.virtual_time, b.virtual_time, a.value, b.value};
+    }
   }
   if (records_.size() != other.records_.size()) {
     // The common prefix agrees; one side simply has more records.

@@ -42,8 +42,22 @@ struct TraceDiff {
   std::string mismatch_a;
   std::string mismatch_b;
 
-  // "comparable" or "diverged at record N: 'x' vs 'y'" — the one-line
-  // explanation transparency-test failures print.
+  // When comparable == true, the first record whose value or virtual time
+  // differs between the traces: its index (kNoMismatch if the traces are
+  // identical), its tag, and both sides' virtual time and value.
+  struct RecordMismatch {
+    size_t index = kNoMismatch;
+    std::string tag;
+    SimTime time_a = 0;
+    SimTime time_b = 0;
+    double value_a = 0.0;
+    double value_b = 0.0;
+  };
+  RecordMismatch first_value_mismatch;
+
+  // "comparable" for identical traces, "same shape, but record N 'x' differs:
+  // ..." when only times or values differ, or "diverged at record N: 'x' vs
+  // 'y'" — the one-line explanation transparency-test failures print.
   std::string Describe() const;
 };
 

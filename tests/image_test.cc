@@ -1,12 +1,14 @@
 // The universal checkpoint-image layer: container framing (magic, version,
-// CRC, truncation), forward-compatible chunk lookup, and per-component
-// save -> mutate -> restore -> save round trips that must be bit-identical.
+// CRC, truncation), a seeded mutation sweep over both parsers,
+// forward-compatible chunk lookup, and per-component save -> mutate ->
+// restore -> save round trips that must be bit-identical.
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -16,7 +18,6 @@
 #include "src/sim/archive.h"
 #include "src/sim/checkpointable.h"
 #include "src/sim/image.h"
-#include "src/sim/image_store.h"
 #include "src/sim/random.h"
 #include "src/sim/simulator.h"
 #include "src/storage/branch_store.h"
@@ -126,9 +127,9 @@ TEST(ImageContainerTest, RejectsUnsupportedFormatVersion) {
   Counter a("a");
   builder.Add(a);
   std::vector<uint8_t> image = builder.Serialize();
-  // The version field follows the u32 magic. Patch past the delta format —
-  // version 2 is supported now.
-  const uint32_t future = kImageFormatVersionDelta + 1;
+  // The version field follows the u32 magic. Patch past format v2, the
+  // newest supported.
+  const uint32_t future = kImageFormatVersion2 + 1;
   std::memcpy(image.data() + sizeof(uint32_t), &future, sizeof(future));
   CheckpointImageView view(image);
   EXPECT_FALSE(view.ok());
@@ -167,35 +168,38 @@ TEST(ImageContainerTest, SuppliedCrcSerializesIdenticallyToComputedCrc) {
   const std::vector<uint8_t> first = RandomBytes(1000, 3);
   const std::vector<uint8_t> second = RandomBytes(13, 4);
   for (const bool v2 : {false, true}) {
-    CheckpointImageBuilder computed, supplied;
+    CheckpointImageBuilder computed, supplied, borrowed;
     if (v2) {
-      computed.SetDeltaHeader(4, 0);
-      supplied.SetDeltaHeader(4, 0);
+      computed.SetImageId(4);
+      supplied.SetImageId(4);
+      borrowed.SetImageId(4);
     }
     computed.AddChunk("first", first);
     computed.AddChunk("second", second);
     supplied.AddChunk("first", first, Crc32(first));
     supplied.AddChunk("second", second, Crc32(second));
+    borrowed.AddChunk("first", ByteSpan{first.data(), first.size()},
+                      Crc32(first));
+    borrowed.AddChunk("second", ByteSpan{second.data(), second.size()},
+                      Crc32(second));
     EXPECT_EQ(computed.Serialize(), supplied.Serialize()) << "v2 " << v2;
+    EXPECT_EQ(computed.Serialize(), borrowed.Serialize()) << "v2 " << v2;
   }
 }
 
 TEST(ImageContainerTest, CorruptedPayloadIsRejectedByViewAndRepo) {
   const std::vector<uint8_t> payload = RandomBytes(64, 6);
   CheckpointImageBuilder builder;
-  builder.SetDeltaHeader(1, 0);
+  builder.SetImageId(1);
   builder.AddChunk("a", payload, Crc32(payload));
   const std::vector<uint8_t> image = builder.Serialize();
 
-  // In memory: the view checks every chunk's CRC, and ImageStore::Put takes
-  // its chunk CRCs only from a view that passed.
+  // In memory: the view checks every chunk's CRC.
   std::vector<uint8_t> flipped = image;
   flipped[flipped.size() - 5] ^= 0x08;  // inside the only payload
   CheckpointImageView view(flipped);
   EXPECT_FALSE(view.ok());
   EXPECT_NE(view.error().find("CRC"), std::string::npos) << view.error();
-  ImageStore store;
-  EXPECT_EQ(store.Put(flipped), 0u);
 
   // On disk: a payload byte flipped after the put is caught when the repo
   // reads it back, before the materialized image reuses the stored CRC.
@@ -262,7 +266,7 @@ TEST(ImageContainerTest, ShortChunkReportsPartialRestore) {
   EXPECT_FALSE(view.RestoreInto(a));
 }
 
-// --- Format v2 (delta images) --------------------------------------------------
+// --- Format v2 ----------------------------------------------------------------
 
 std::vector<uint8_t> PayloadOf(uint64_t value) {
   ArchiveWriter w;
@@ -270,9 +274,35 @@ std::vector<uint8_t> PayloadOf(uint64_t value) {
   return w.Take();
 }
 
+// Byte offset of the v2 header's parent-id field: after magic, version and
+// image id.
+constexpr size_t kParentIdOffset = 4 + 4 + 8;
+
+// A v2 image in the retired delta layout: chunk "a" with its payload, chunk
+// "b" as a kind-2 reference (a 4-byte CRC pin into image `parent`). Built by
+// hand, since no builder emits the kind any more.
+std::vector<uint8_t> DeltaRefImage(uint64_t parent) {
+  ArchiveWriter w;
+  w.Write<uint32_t>(kImageMagic);
+  w.Write<uint32_t>(kImageFormatVersion2);
+  w.Write<uint64_t>(/*image id=*/2);
+  w.Write<uint64_t>(parent);
+  w.Write<uint64_t>(/*chunk count=*/2);
+  const std::vector<uint8_t> a = PayloadOf(11);
+  w.WriteString("a");
+  w.Write<uint8_t>(kChunkKindPayload);
+  w.Write<uint64_t>(a.size());
+  w.Write<uint32_t>(Crc32(a));
+  w.WriteBytes(a.data(), a.size());
+  w.WriteString("b");
+  w.Write<uint8_t>(/*delta-ref kind=*/2);
+  w.Write<uint32_t>(Crc32(PayloadOf(20)));
+  return w.Take();
+}
+
 TEST(DeltaImageTest, SelfContainedV2RoundTrips) {
   CheckpointImageBuilder builder;
-  builder.SetDeltaHeader(/*image_id=*/5, /*parent_id=*/0);
+  builder.SetImageId(5);
   Counter a("a");
   a.value = 17;
   builder.Add(a);
@@ -280,44 +310,19 @@ TEST(DeltaImageTest, SelfContainedV2RoundTrips) {
 
   CheckpointImageView view(image);
   ASSERT_TRUE(view.ok()) << view.error();
-  EXPECT_EQ(view.format_version(), kImageFormatVersionDelta);
+  EXPECT_EQ(view.format_version(), kImageFormatVersion2);
   EXPECT_EQ(view.image_id(), 5u);
-  EXPECT_EQ(view.parent_id(), 0u);
-  EXPECT_FALSE(view.is_delta());
+  uint64_t parent = ~uint64_t{0};
+  std::memcpy(&parent, image.data() + kParentIdOffset, sizeof parent);
+  EXPECT_EQ(parent, 0u);
   Counter a2("a");
   EXPECT_TRUE(view.RestoreInto(a2));
   EXPECT_EQ(a2.value, 17u);
 }
 
-TEST(DeltaImageTest, DeltaRefsParseWithIdentityAndCrc) {
-  const std::vector<uint8_t> parent_payload = PayloadOf(17);
-  const uint32_t parent_crc = Crc32(parent_payload);
-
-  CheckpointImageBuilder builder;
-  builder.SetDeltaHeader(/*image_id=*/6, /*parent_id=*/5);
-  builder.AddChunk("changed", PayloadOf(18));
-  builder.AddDeltaChunk("same", parent_crc);
-  const std::vector<uint8_t> image = builder.Serialize();
-
-  CheckpointImageView view(image);
-  ASSERT_TRUE(view.ok()) << view.error();
-  EXPECT_EQ(view.image_id(), 6u);
-  EXPECT_EQ(view.parent_id(), 5u);
-  EXPECT_TRUE(view.is_delta());
-  EXPECT_EQ(view.delta_ref_count(), 1u);
-  EXPECT_TRUE(view.HasChunk("changed"));
-  EXPECT_EQ(view.ChunkCrc("changed"), Crc32(PayloadOf(18)));
-  EXPECT_FALSE(view.HasChunk("same"));  // a delta ref is not readable payload
-  EXPECT_TRUE(view.HasDeltaRef("same"));
-  EXPECT_EQ(view.DeltaRefCrc("same"), parent_crc);
-  ASSERT_EQ(view.ChunkIds().size(), 2u);
-  EXPECT_EQ(view.ChunkIds()[0], "changed");
-  EXPECT_EQ(view.ChunkIds()[1], "same");
-}
-
 TEST(DeltaImageTest, RejectsUnknownChunkKind) {
   CheckpointImageBuilder builder;
-  builder.SetDeltaHeader(1, 0);
+  builder.SetImageId(1);
   builder.AddChunk("a", PayloadOf(1));
   std::vector<uint8_t> image = builder.Serialize();
   // v2 header is magic u32 | version u32 | image id u64 | parent id u64 |
@@ -328,153 +333,235 @@ TEST(DeltaImageTest, RejectsUnknownChunkKind) {
   CheckpointImageView view(image);
   EXPECT_FALSE(view.ok());
   EXPECT_NE(view.error().find("kind"), std::string::npos) << view.error();
+  EXPECT_FALSE(CheckpointImageLiteView(image).ok());
 }
 
 TEST(DeltaImageTest, RejectsDuplicateChunkIds) {
-  CheckpointImageBuilder builder;
-  builder.SetDeltaHeader(1, 0);
-  builder.AddChunk("a", PayloadOf(1));
-  builder.AddChunk("a", PayloadOf(2));
-  CheckpointImageView view(builder.Serialize());
-  EXPECT_FALSE(view.ok());
-  EXPECT_NE(view.error().find("duplicate"), std::string::npos) << view.error();
+  // In both formats: a later duplicate would vanish on re-serialization.
+  for (const bool v2 : {false, true}) {
+    CheckpointImageBuilder builder;
+    if (v2) {
+      builder.SetImageId(1);
+    }
+    builder.AddChunk("a", PayloadOf(1));
+    builder.AddChunk("a", PayloadOf(2));
+    const std::vector<uint8_t> image = builder.Serialize();
+    CheckpointImageView view(image);
+    EXPECT_FALSE(view.ok()) << "v2 " << v2;
+    EXPECT_NE(view.error().find("duplicate"), std::string::npos)
+        << view.error();
+    EXPECT_FALSE(CheckpointImageLiteView(image).ok()) << "v2 " << v2;
+  }
 }
 
 TEST(DeltaImageTest, RejectsDeltaRefWithoutParent) {
-  CheckpointImageBuilder builder;
-  builder.SetDeltaHeader(/*image_id=*/6, /*parent_id=*/5);
-  builder.AddDeltaChunk("same", 0xDEADBEEF);
-  std::vector<uint8_t> image = builder.Serialize();
-  // Zero out the parent-id field (offset 16, after magic and version): the
-  // delta ref is now unresolvable and the view must say so.
-  std::memset(image.data() + 16, 0, sizeof(uint64_t));
+  const std::vector<uint8_t> image = DeltaRefImage(/*parent=*/0);
   CheckpointImageView view(image);
   EXPECT_FALSE(view.ok());
+  EXPECT_NE(view.error().find("kind"), std::string::npos) << view.error();
+  EXPECT_FALSE(CheckpointImageLiteView(image).ok());
 }
 
 TEST(DeltaImageTest, RejectsEveryTruncationPointOfV2) {
   CheckpointImageBuilder builder;
-  builder.SetDeltaHeader(/*image_id=*/9, /*parent_id=*/8);
+  builder.SetImageId(9);
   builder.AddChunk("payload-chunk", PayloadOf(7));
-  builder.AddDeltaChunk("delta-ref-chunk", 0x12345678);
+  builder.AddChunk("second-chunk", PayloadOf(8));
   const std::vector<uint8_t> image = builder.Serialize();
   for (size_t len = 0; len < image.size(); ++len) {
     std::vector<uint8_t> prefix(image.begin(), image.begin() + len);
-    CheckpointImageView view(prefix);
-    EXPECT_FALSE(view.ok()) << "prefix of " << len << " bytes accepted";
+    EXPECT_FALSE(CheckpointImageView(prefix).ok())
+        << "prefix of " << len << " bytes accepted";
+    EXPECT_FALSE(CheckpointImageLiteView(prefix).ok())
+        << "prefix of " << len << " bytes accepted by the lite view";
   }
 }
 
-// --- ImageStore (parent chains) -------------------------------------------------
-
-std::vector<uint8_t> FullImage(uint64_t id, uint64_t a, uint64_t b) {
+// The retired delta layout, in both of its marks — a kind-2 chunk, and a
+// nonzero parent id on an otherwise self-contained image — is a parse error
+// for both views and for the repository, which stays unchanged.
+TEST(DeltaImageTest, DeltaRefsAndParentLinksAreRejectedEverywhere) {
   CheckpointImageBuilder builder;
-  builder.SetDeltaHeader(id, 0);
-  builder.AddChunk("a", PayloadOf(a));
-  builder.AddChunk("b", PayloadOf(b));
-  return builder.Serialize();
+  builder.SetImageId(2);
+  builder.AddChunk("a", PayloadOf(11));
+  builder.AddChunk("b", PayloadOf(20));
+  std::vector<uint8_t> with_parent = builder.Serialize();
+  with_parent[kParentIdOffset] = 1;
+  const std::vector<std::pair<std::string, std::vector<uint8_t>>> cases = {
+      {"kind-2 chunk", DeltaRefImage(/*parent=*/1)},
+      {"nonzero parent", with_parent},
+  };
+
+  const std::string dir =
+      (std::filesystem::path(::testing::TempDir()) / "tcsim_image_delta_ref")
+          .string();
+  std::filesystem::remove_all(dir);
+  std::string error;
+  auto repo = CheckpointRepo::Open(dir, RepoOptions{}, &error);
+  ASSERT_NE(repo, nullptr) << error;
+  CheckpointImageBuilder parent;
+  parent.SetImageId(1);
+  parent.AddChunk("a", PayloadOf(10));
+  parent.AddChunk("b", PayloadOf(20));
+  ASSERT_NE(repo->PutImage(parent.Serialize()), 0u) << repo->error();
+  const size_t images_before = repo->image_count();
+  const uint64_t segment_before = repo->segment_bytes();
+
+  for (const auto& [name, image] : cases) {
+    SCOPED_TRACE(name);
+    EXPECT_FALSE(CheckpointImageView(image).ok());
+    EXPECT_FALSE(CheckpointImageLiteView(image).ok());
+    EXPECT_EQ(repo->PutImage(image), 0u);
+    EXPECT_NE(repo->error().find("malformed"), std::string::npos)
+        << repo->error();
+    EXPECT_EQ(repo->image_count(), images_before);
+    EXPECT_EQ(repo->segment_bytes(), segment_before);
+  }
+  repo.reset();
+  std::filesystem::remove_all(dir);
 }
 
-// Delta of FullImage: "a" changed to `a`, "b" unchanged from the parent whose
-// "b" payload carried `parent_b`.
-std::vector<uint8_t> DeltaImage(uint64_t id, uint64_t parent, uint64_t a,
-                                uint64_t parent_b) {
+// --- Seeded mutation sweep ----------------------------------------------------
+
+// A well-formed image plus the offsets of its count and length fields, so
+// mutations can aim at them.
+struct SweepImage {
+  std::vector<uint8_t> bytes;
+  size_t count_offset = 0;
+  std::vector<size_t> length_offsets;
+};
+
+SweepImage BuildSweepImage(bool v2, size_t chunks, std::mt19937_64& rng) {
   CheckpointImageBuilder builder;
-  builder.SetDeltaHeader(id, parent);
-  builder.AddChunk("a", PayloadOf(a));
-  builder.AddDeltaChunk("b", Crc32(PayloadOf(parent_b)));
-  return builder.Serialize();
+  SweepImage out;
+  size_t offset = 4 + 4;  // magic, version
+  if (v2) {
+    builder.SetImageId(1 + rng() % 1000);
+    offset += 8 + 8;  // image id, parent id
+  }
+  out.count_offset = offset;
+  offset += 8;
+  for (size_t c = 0; c < chunks; ++c) {
+    // Ids one bit apart ("c0", "c1", ...), so flips can forge duplicates.
+    const std::string id = "c" + std::to_string(c);
+    const std::vector<uint8_t> payload = RandomBytes(rng() % 24, rng());
+    offset += 8 + id.size() + (v2 ? 1 : 0);
+    out.length_offsets.push_back(offset);
+    offset += 8 + 4 + payload.size();
+    builder.AddChunk(id, payload);
+  }
+  out.bytes = builder.Serialize();
+  EXPECT_EQ(offset, out.bytes.size());
+  return out;
 }
 
-TEST(ImageStoreTest, MaterializesDeltaChainsToFullImages) {
-  ImageStore store;
-  ASSERT_EQ(store.Put(FullImage(1, 10, 20)), 1u) << store.error();
-  ASSERT_EQ(store.Put(DeltaImage(2, 1, 11, 20)), 2u) << store.error();
-  ASSERT_EQ(store.Put(DeltaImage(3, 2, 12, 20)), 3u) << store.error();
-  EXPECT_EQ(store.ParentOf(3), 2u);
-  EXPECT_EQ(store.DeltaRefCount(3), 1u);
-
-  const std::vector<uint8_t> full = store.Materialize(3);
-  CheckpointImageView view(full);
-  ASSERT_TRUE(view.ok()) << view.error();
-  EXPECT_EQ(view.image_id(), 3u);
-  EXPECT_EQ(view.parent_id(), 0u);
-  EXPECT_FALSE(view.is_delta());
-  Counter a("a"), b("b");
-  EXPECT_TRUE(view.RestoreInto(a));
-  EXPECT_TRUE(view.RestoreInto(b));
-  EXPECT_EQ(a.value, 12u);  // from the newest capture
-  EXPECT_EQ(b.value, 20u);  // resolved through the chain to image 1
+std::vector<uint8_t> Mutate(const SweepImage& image, std::mt19937_64& rng) {
+  std::vector<uint8_t> m = image.bytes;
+  const auto put_u64 = [&m](size_t at, uint64_t v) {
+    std::memcpy(m.data() + at, &v, sizeof v);
+  };
+  const auto get_u64 = [&m](size_t at) {
+    uint64_t v = 0;
+    std::memcpy(&v, m.data() + at, sizeof v);
+    return v;
+  };
+  // Field corruptions: off by one either way, zero, huge, or random.
+  const auto corrupt = [&](size_t at) {
+    const uint64_t old = get_u64(at);
+    const uint64_t choices[] = {old + 1, old - 1, 0, ~uint64_t{0}, rng()};
+    put_u64(at, choices[rng() % 5]);
+  };
+  switch (rng() % 5) {
+    case 0:
+    case 1:  // one bit flip anywhere
+      m[rng() % m.size()] ^= static_cast<uint8_t>(1u << (rng() % 8));
+      break;
+    case 2:  // one byte inserted anywhere, the end included
+      m.insert(m.begin() + static_cast<long>(rng() % (m.size() + 1)),
+               static_cast<uint8_t>(rng()));
+      break;
+    case 3:  // one byte deleted
+      m.erase(m.begin() + static_cast<long>(rng() % m.size()));
+      break;
+    default:  // the chunk count, or one chunk's payload length
+      if (rng() % 2 == 0) {
+        corrupt(image.count_offset);
+      } else {
+        corrupt(image.length_offsets[rng() % image.length_offsets.size()]);
+      }
+      break;
+  }
+  return m;
 }
 
-TEST(ImageStoreTest, AcceptsV1ImagesWithAssignedIds) {
-  CheckpointImageBuilder builder;  // no delta header: emits v1
-  builder.AddChunk("a", PayloadOf(10));
-  ImageStore store;
-  const uint64_t id = store.Put(builder.Serialize());
-  ASSERT_NE(id, 0u) << store.error();
-  EXPECT_EQ(store.ParentOf(id), 0u);
-  CheckpointImageView view(store.Materialize(id));
-  ASSERT_TRUE(view.ok()) << view.error();
-  EXPECT_TRUE(view.HasChunk("a"));
-}
+// Every input is either rejected by both parsers, or accepted by both with
+// the same chunk table and re-serialized byte-identically from it. The lite
+// view checks no CRCs by design; its verdict here includes the per-chunk CRC
+// check the repository applies to what it parses.
+TEST(ImageMutationSweepTest, EveryMutantIsRejectedOrRoundTripsExactly) {
+  std::mt19937_64 rng(16);
+  size_t inputs = 0, accepted = 0, failures = 0;
+  auto check = [&](const std::vector<uint8_t>& input, const std::string& what) {
+    ++inputs;
+    const CheckpointImageView view(input);
+    const CheckpointImageLiteView lite(input);
+    bool lite_ok = lite.ok();
+    for (const CheckpointImageLiteView::Chunk& c : lite.chunks()) {
+      lite_ok = lite_ok && Crc32(c.payload.data, c.payload.size) == c.crc;
+    }
+    std::string problem;
+    if (view.ok() != lite_ok) {
+      problem = "view " + std::to_string(view.ok()) + " vs lite " +
+                std::to_string(lite_ok) + " (" + view.error() + " / " +
+                lite.error() + ")";
+    } else if (view.ok()) {
+      ++accepted;
+      CheckpointImageBuilder rebuilt;
+      if (view.format_version() == kImageFormatVersion2) {
+        rebuilt.SetImageId(view.image_id());
+      }
+      bool same_table = view.format_version() == lite.format_version() &&
+                        view.image_id() == lite.image_id() &&
+                        view.ChunkIds().size() == lite.chunks().size();
+      for (size_t i = 0; same_table && i < lite.chunks().size(); ++i) {
+        const CheckpointImageLiteView::Chunk& c = lite.chunks()[i];
+        const std::vector<uint8_t>& bytes = view.Chunk(view.ChunkIds()[i]);
+        same_table = view.ChunkIds()[i] == c.id &&
+                     view.ChunkCrc(c.id) == c.crc &&
+                     bytes == std::vector<uint8_t>(
+                                  c.payload.data, c.payload.data + c.payload.size);
+        rebuilt.AddChunk(c.id, bytes, view.ChunkCrc(c.id));
+      }
+      if (!same_table) {
+        problem = "chunk tables differ";
+      } else if (rebuilt.Serialize() != input) {
+        problem = "re-serialization differs";
+      }
+    }
+    if (!problem.empty() && ++failures <= 5) {
+      ADD_FAILURE() << what << ": " << problem;
+    }
+  };
 
-TEST(ImageStoreTest, RejectsMissingParent) {
-  ImageStore store;
-  EXPECT_EQ(store.Put(DeltaImage(2, 99, 11, 20)), 0u);
-  EXPECT_NE(store.error().find("parent"), std::string::npos) << store.error();
-  EXPECT_EQ(store.image_count(), 0u);
-}
-
-TEST(ImageStoreTest, RejectsStaleParentCrc) {
-  ImageStore store;
-  ASSERT_EQ(store.Put(FullImage(1, 10, 20)), 1u) << store.error();
-  // Delta claims "b" is unchanged from a parent whose "b" held 21 — but the
-  // stored parent's "b" holds 20. The chain is stale; reject, don't resolve.
-  EXPECT_EQ(store.Put(DeltaImage(2, 1, 11, 21)), 0u);
-  EXPECT_NE(store.error().find("stale"), std::string::npos) << store.error();
-  EXPECT_EQ(store.image_count(), 1u);
-  // The same holds one link further down, where the parent's "b" was itself
-  // a delta ref and its stored CRC came from image 1's verified chunk.
-  ASSERT_EQ(store.Put(DeltaImage(2, 1, 11, 20)), 2u) << store.error();
-  EXPECT_EQ(store.Put(DeltaImage(3, 2, 12, 21)), 0u);
-  EXPECT_NE(store.error().find("stale"), std::string::npos) << store.error();
-  EXPECT_EQ(store.image_count(), 2u);
-}
-
-TEST(ImageStoreTest, RejectsDeltaRefAbsentInParent) {
-  ImageStore store;
-  ASSERT_EQ(store.Put(FullImage(1, 10, 20)), 1u) << store.error();
-  CheckpointImageBuilder builder;
-  builder.SetDeltaHeader(2, 1);
-  builder.AddDeltaChunk("no-such-chunk", 0x1111);
-  EXPECT_EQ(store.Put(builder.Serialize()), 0u);
-  EXPECT_NE(store.error().find("absent"), std::string::npos) << store.error();
-}
-
-TEST(ImageStoreTest, RejectsDuplicateImageId) {
-  ImageStore store;
-  ASSERT_EQ(store.Put(FullImage(1, 10, 20)), 1u) << store.error();
-  EXPECT_EQ(store.Put(FullImage(1, 30, 40)), 0u);
-  EXPECT_NE(store.error().find("duplicate"), std::string::npos) << store.error();
-}
-
-TEST(ImageStoreTest, PrunedChainStaysMaterializable) {
-  ImageStore store;
-  ASSERT_EQ(store.Put(FullImage(1, 10, 20)), 1u) << store.error();
-  ASSERT_EQ(store.Put(DeltaImage(2, 1, 11, 20)), 2u) << store.error();
-  store.PruneExcept(2);
-  EXPECT_EQ(store.image_count(), 1u);
-  EXPECT_FALSE(store.Has(1));
-  // Resolution happened at Put, so the survivor still materializes fully.
-  CheckpointImageView view(store.Materialize(2));
-  ASSERT_TRUE(view.ok()) << view.error();
-  Counter b("b");
-  EXPECT_TRUE(view.RestoreInto(b));
-  EXPECT_EQ(b.value, 20u);
-  // But a new delta naming the pruned image as parent is a broken chain.
-  EXPECT_EQ(store.Put(DeltaImage(3, 1, 12, 20)), 0u);
-  EXPECT_NE(store.error().find("parent"), std::string::npos) << store.error();
+  for (const bool v2 : {false, true}) {
+    for (size_t chunks = 1; chunks <= 6; ++chunks) {
+      for (int variant = 0; variant < 2; ++variant) {
+        const SweepImage image = BuildSweepImage(v2, chunks, rng);
+        const std::string name = std::string(v2 ? "v2" : "v1") + " with " +
+                                 std::to_string(chunks) + " chunks";
+        check(image.bytes, name);
+        for (int k = 0; k < 450; ++k) {
+          check(Mutate(image, rng), name + ", mutant " + std::to_string(k));
+        }
+      }
+    }
+  }
+  EXPECT_EQ(failures, 0u);
+  EXPECT_GE(inputs, 10000u);
+  // The sweep reached both verdicts beyond the unmutated originals: some
+  // mutants (flipped image ids, renamed chunks) are valid images.
+  EXPECT_GT(accepted, 24u);
+  EXPECT_LT(accepted, inputs / 2);
 }
 
 // --- Per-component round trips ------------------------------------------------

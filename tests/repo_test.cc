@@ -1,6 +1,6 @@
 // The durable checkpoint repository: put/materialize byte-fidelity against
-// the in-memory ImageStore oracle (which owns delta chains; the repository
-// takes materialized generations), content dedup, refcount accounting and GC
+// the images the tests built from their own value maps, content dedup,
+// refcount accounting and GC
 // with epoch switch, and crash recovery — including an every-byte truncation
 // sweep of both the journal and the segment (the sanitize-preset run of this
 // file is the no-UB durability acceptance check).
@@ -28,7 +28,6 @@
 #include "src/repo/repo_format.h"
 #include "src/sim/archive.h"
 #include "src/sim/image.h"
-#include "src/sim/image_store.h"
 #include "src/timetravel/basic_run.h"
 #include "src/timetravel/checkpoint_tree.h"
 
@@ -69,44 +68,29 @@ std::vector<uint8_t> PayloadOf(uint64_t value) {
 // A self-contained v2 image with two payload chunks.
 std::vector<uint8_t> FullImage(uint64_t id, uint64_t a, uint64_t b) {
   CheckpointImageBuilder builder;
-  builder.SetDeltaHeader(id, 0);
+  builder.SetImageId(id);
   builder.AddChunk("a", PayloadOf(a));
   builder.AddChunk("b", PayloadOf(b));
   return builder.Serialize();
 }
 
-// A delta image: chunk "a" changed, chunk "b" pinned to the parent's content.
-// The repository rejects it; its materialized form is FullImage(id, a,
-// parent_b), or ImageStore::Materialize(id) once the chain is in a store.
-std::vector<uint8_t> DeltaImage(uint64_t id, uint64_t parent, uint64_t a,
-                                uint64_t parent_b) {
-  CheckpointImageBuilder builder;
-  builder.SetDeltaHeader(id, parent);
-  builder.AddChunk("a", PayloadOf(a));
-  builder.AddDeltaChunk("b", Crc32(PayloadOf(parent_b)));
-  return builder.Serialize();
-}
-
 // --- Put / Materialize fidelity ------------------------------------------------
 
-TEST_F(RepoTest, MaterializeMatchesImageStoreOracle) {
-  // A 3-generation delta chain owned by the in-memory ImageStore; the
-  // repository receives each generation's materialized form. Its disk
-  // materialization must be byte-identical to the store's, and content
+TEST_F(RepoTest, MaterializeReturnsThePutBytes) {
+  // Three generations from one value map: "a" changes every generation, "b"
+  // never does. Materialize must return exactly the put bytes, and content
   // addressing must make every later put append exactly its changed payload
   // ("a"): the unchanged "b" dedups to the first generation's record.
-  ImageStore store;
-  ASSERT_EQ(store.Put(FullImage(1, 10, 20)), 1u);
-  ASSERT_EQ(store.Put(DeltaImage(2, 1, 11, 20)), 2u);
-  ASSERT_EQ(store.Put(DeltaImage(3, 2, 12, 20)), 3u);
+  const std::map<uint64_t, std::pair<uint64_t, uint64_t>> values = {
+      {1, {10, 20}}, {2, {11, 20}}, {3, {12, 20}}};
   auto repo = OpenRepo();
 
   const uint64_t payload = PayloadOf(0).size();
   std::vector<uint64_t> handles;
-  for (uint64_t id = 1; id <= 3; ++id) {
+  for (const auto& [id, v] : values) {
     const uint64_t physical_before = repo->physical_put_bytes();
     const uint64_t segment_before = repo->segment_bytes();
-    const uint64_t handle = repo->PutImage(store.Materialize(id));
+    const uint64_t handle = repo->PutImage(FullImage(id, v.first, v.second));
     ASSERT_NE(handle, 0u) << repo->error();
     handles.push_back(handle);
     const uint64_t changed = id == 1 ? 2 : 1;
@@ -116,8 +100,9 @@ TEST_F(RepoTest, MaterializeMatchesImageStoreOracle) {
               changed * (kSegmentRecordOverhead + payload))
         << "generation " << id;
   }
-  for (uint64_t id = 1; id <= 3; ++id) {
-    EXPECT_EQ(repo->Materialize(handles[id - 1]), store.Materialize(id));
+  for (const auto& [id, v] : values) {
+    EXPECT_EQ(repo->Materialize(handles[id - 1]),
+              FullImage(id, v.first, v.second));
   }
 }
 
@@ -141,11 +126,11 @@ TEST_F(RepoTest, RejectsBadPuts) {
   // Garbage bytes.
   EXPECT_EQ(repo->PutImage(std::vector<uint8_t>{1, 2, 3}), 0u);
   EXPECT_FALSE(repo->error().empty());
-  // A delta image, even one whose parent is stored: ImageStore owns delta
-  // chains, and the repository takes only the materialized form.
-  EXPECT_EQ(repo->PutImage(DeltaImage(2, 1, 11, 20)), 0u);
-  EXPECT_NE(repo->error().find("delta image"), std::string::npos)
-      << repo->error();
+  // An image naming a parent, even a stored one: images carry every chunk.
+  std::vector<uint8_t> with_parent = FullImage(2, 11, 20);
+  with_parent[16] = 1;  // parent id field, after magic, version and image id
+  EXPECT_EQ(repo->PutImage(with_parent), 0u);
+  EXPECT_NE(repo->error().find("parent"), std::string::npos) << repo->error();
   // Rejections leave the repository unchanged.
   EXPECT_EQ(repo->image_count(), 1u);
   EXPECT_EQ(repo->segment_bytes(), segment_before);
@@ -154,19 +139,16 @@ TEST_F(RepoTest, RejectsBadPuts) {
 // --- Retire / GC -------------------------------------------------------------
 
 TEST_F(RepoTest, RetiringAParentLeavesItsSuccessorMaterializable) {
-  ImageStore store;
-  ASSERT_EQ(store.Put(FullImage(1, 10, 20)), 1u);
-  ASSERT_EQ(store.Put(DeltaImage(2, 1, 11, 20)), 2u);
   auto repo = OpenRepo();
-  const uint64_t h1 = repo->PutImage(store.Materialize(1));
-  const uint64_t h2 = repo->PutImage(store.Materialize(2));
+  const uint64_t h1 = repo->PutImage(FullImage(1, 10, 20));
+  const uint64_t h2 = repo->PutImage(FullImage(2, 11, 20));
   ASSERT_NE(h2, 0u) << repo->error();
 
   ASSERT_TRUE(repo->RetireImage(h1));
   EXPECT_FALSE(repo->IsLive(h1));
   EXPECT_TRUE(repo->Materialize(h1).empty());  // retired: not materializable
   // ...but its successor holds every chunk it needs.
-  EXPECT_EQ(repo->Materialize(h2), store.Materialize(2)) << repo->error();
+  EXPECT_EQ(repo->Materialize(h2), FullImage(2, 11, 20)) << repo->error();
   // The parent-only payload ("a" = 10) is garbage now; the shared "b" is not.
   EXPECT_EQ(repo->garbage_payload_bytes(),
             kSegmentRecordOverhead + PayloadOf(10).size());
@@ -179,14 +161,11 @@ TEST_F(RepoTest, RetiringAParentLeavesItsSuccessorMaterializable) {
 }
 
 TEST_F(RepoTest, GcReclaimsUnreferencedPayloadsAndSurvivesReopen) {
-  ImageStore store;
-  store.Put(FullImage(1, 10, 20));
-  store.Put(DeltaImage(2, 1, 11, 20));
   uint64_t h2 = 0;
   {
     auto repo = OpenRepo();
-    const uint64_t h1 = repo->PutImage(store.Materialize(1));
-    h2 = repo->PutImage(store.Materialize(2));
+    const uint64_t h1 = repo->PutImage(FullImage(1, 10, 20));
+    h2 = repo->PutImage(FullImage(2, 11, 20));
     ASSERT_NE(h2, 0u) << repo->error();
     ASSERT_TRUE(repo->RetireImage(h1));
     ASSERT_GT(repo->garbage_payload_bytes(), 0u);
@@ -196,13 +175,13 @@ TEST_F(RepoTest, GcReclaimsUnreferencedPayloadsAndSurvivesReopen) {
     EXPECT_GT(gc.reclaimed_bytes, 0u);
     EXPECT_EQ(repo->garbage_payload_bytes(), 0u);
     EXPECT_FALSE(repo->Has(h1));  // dropped entirely
-    EXPECT_EQ(repo->Materialize(h2), store.Materialize(2));
+    EXPECT_EQ(repo->Materialize(h2), FullImage(2, 11, 20));
   }
   // The GC'd epoch is what a fresh process opens.
   auto repo = OpenRepo();
   ASSERT_NE(repo, nullptr);
   EXPECT_EQ(repo->live_image_count(), 1u);
-  EXPECT_EQ(repo->Materialize(h2), store.Materialize(2));
+  EXPECT_EQ(repo->Materialize(h2), FullImage(2, 11, 20));
   // Handles are never reused, even though the GC dropped records.
   const uint64_t h3 = repo->PutImage(FullImage(7, 1, 2));
   EXPECT_GT(h3, h2);
@@ -213,7 +192,8 @@ TEST_F(RepoTest, GcReclaimsUnreferencedPayloadsAndSurvivesReopen) {
 // 200 seeded operations over a small payload alphabet (so dedup hits are
 // common) and a small live set (so payloads often lose their last
 // reference): full puts, next-generation puts, multi-image batches, retires,
-// GC passes and reopens. An ImageStore owns every chain and is the byte oracle.
+// GC passes and reopens. Every image is built from the test's own value map,
+// and Materialize must return exactly the put bytes.
 // After each operation the repository's running accounting must equal a
 // from-scratch recount of its definition, and a reopen must reproduce the
 // same values.
@@ -222,31 +202,26 @@ TEST_F(RepoTest, RandomizedLifecycleKeepsRefcountsExact) {
   constexpr uint64_t kAlphabet = 16;
   constexpr size_t kMaxLive = 8;
   std::mt19937_64 rng(15);
-  ImageStore oracle;
+  std::map<uint64_t, std::vector<uint8_t>> images;  // image id -> put bytes
   std::map<uint64_t, std::vector<uint64_t>> values;  // image id -> chunks
   std::map<uint64_t, uint64_t> live;                 // handle -> image id
   uint64_t next_id = 1;
   auto repo = OpenRepo();
 
-  // Adds one image to the oracle — a full image, or (parent != 0) a delta
-  // rewriting one chunk of `parent` — and returns its id.
+  // Builds one image — fresh values, or (parent != 0) `parent`'s values
+  // with one chunk rewritten — and returns its id.
   auto add_image = [&](uint64_t parent) {
     const uint64_t id = next_id++;
     CheckpointImageBuilder builder;
-    builder.SetDeltaHeader(id, parent);
+    builder.SetImageId(id);
     std::vector<uint64_t> v(kChunks);
     const size_t rewrite = rng() % kChunks;
     for (size_t c = 0; c < kChunks; ++c) {
-      const std::string chunk = "c" + std::to_string(c);
-      if (parent == 0 || c == rewrite) {
-        v[c] = rng() % kAlphabet;
-        builder.AddChunk(chunk, PayloadOf(v[c]));
-      } else {
-        v[c] = values.at(parent)[c];
-        builder.AddDeltaChunk(chunk, Crc32(PayloadOf(v[c])));
-      }
+      v[c] = parent == 0 || c == rewrite ? rng() % kAlphabet
+                                         : values.at(parent)[c];
+      builder.AddChunk("c" + std::to_string(c), PayloadOf(v[c]));
     }
-    EXPECT_EQ(oracle.Put(builder.Serialize()), id) << oracle.error();
+    images[id] = builder.Serialize();
     values[id] = v;
     return id;
   };
@@ -268,7 +243,7 @@ TEST_F(RepoTest, RandomizedLifecycleKeepsRefcountsExact) {
     std::set<ContentKey> keys;
     for (const auto& [handle, id] : live) {
       handles.push_back(handle);
-      EXPECT_EQ(repo->Materialize(handle), oracle.Materialize(id))
+      EXPECT_EQ(repo->Materialize(handle), images.at(id))
           << "handle " << handle;
       for (const uint64_t v : values.at(id)) {
         keys.insert(ContentKeyOf(PayloadOf(v)));
@@ -300,12 +275,12 @@ TEST_F(RepoTest, RandomizedLifecycleKeepsRefcountsExact) {
       const bool full = roll < 20 || live.empty();
       op = full ? "put full" : "put generation";
       const uint64_t id = add_image(full ? 0 : random_live()->second);
-      const uint64_t handle = repo->PutImage(oracle.Materialize(id));
+      const uint64_t handle = repo->PutImage(images.at(id));
       ASSERT_NE(handle, 0u) << repo->error();
       live[handle] = id;
     } else if (roll < 65) {
       // Generations may build on live images or on earlier entries of the
-      // same batch: materialized, neither needs the other at commit.
+      // same batch: self-contained, neither needs the other at commit.
       op = "batch";
       auto batch = repo->BeginBatch();
       std::vector<uint64_t> ids;
@@ -318,7 +293,7 @@ TEST_F(RepoTest, RandomizedLifecycleKeepsRefcountsExact) {
           parent = ids[rng() % ids.size()];
         }
         ids.push_back(add_image(parent));
-        batch->Stage(oracle.Materialize(ids.back()));
+        batch->Stage(std::vector<uint8_t>(images.at(ids.back())));
       }
       const auto result = repo->CommitBatch(std::move(batch));
       ASSERT_TRUE(result.ok) << result.error;
@@ -358,28 +333,24 @@ TEST_F(RepoTest, RandomizedLifecycleKeepsRefcountsExact) {
 // --- Recovery ------------------------------------------------------------------
 
 TEST_F(RepoTest, ReopenContinuesWhereTheLastProcessStopped) {
-  ImageStore store;
-  store.Put(FullImage(1, 10, 20));
-  store.Put(DeltaImage(2, 1, 11, 20));
-  store.Put(DeltaImage(3, 2, 12, 20));
   uint64_t h1 = 0, h2 = 0;
   {
     auto repo = OpenRepo();
-    h1 = repo->PutImage(store.Materialize(1));
-    h2 = repo->PutImage(store.Materialize(2));
+    h1 = repo->PutImage(FullImage(1, 10, 20));
+    h2 = repo->PutImage(FullImage(2, 11, 20));
     ASSERT_NE(h2, 0u) << repo->error();
   }
   auto repo = OpenRepo();
   ASSERT_NE(repo, nullptr);
   EXPECT_EQ(repo->LiveHandles(), (std::vector<uint64_t>{h1, h2}));
-  EXPECT_EQ(repo->Materialize(h1), store.Materialize(1));
-  EXPECT_EQ(repo->Materialize(h2), store.Materialize(2));
+  EXPECT_EQ(repo->Materialize(h1), FullImage(1, 10, 20));
+  EXPECT_EQ(repo->Materialize(h2), FullImage(2, 11, 20));
   // The next generation dedups against payloads stored before the restart:
   // only its changed "a" is appended.
-  const uint64_t h3 = repo->PutImage(store.Materialize(3));
+  const uint64_t h3 = repo->PutImage(FullImage(3, 12, 20));
   ASSERT_NE(h3, 0u) << repo->error();
   EXPECT_EQ(repo->physical_put_bytes(), PayloadOf(12).size());
-  EXPECT_EQ(repo->Materialize(h3), store.Materialize(3));
+  EXPECT_EQ(repo->Materialize(h3), FullImage(3, 12, 20));
 }
 
 TEST_F(RepoTest, TornJournalTailIsDiscarded) {
@@ -574,12 +545,11 @@ TEST_F(RepoTest, TreePersistsAndReopensDigestIdentical) {
   }
 }
 
-// --- End-to-end: engine spill-to-repository of a delta-capture chain ---------
+// --- End-to-end: engine spill-to-repository of a capture series ---------------
 
 TEST_F(RepoTest, EngineSpillChainRestoresDigestIdenticalAcrossHousekeeping) {
   BasicExperimentRun::Params params;
   params.seed = 41;
-  params.retain_image_chain = true;
 
   struct Gen {
     uint64_t handle = 0;
@@ -638,40 +608,35 @@ TEST_F(RepoTest, EngineSpillChainRestoresDigestIdenticalAcrossHousekeeping) {
 // --- Batched group commit -------------------------------------------------------
 
 TEST_F(RepoTest, BatchCommitsEpochAllAtOnceAndMatchesOracle) {
-  ImageStore store;
-  ASSERT_EQ(store.Put(FullImage(1, 10, 20)), 1u);
-  ASSERT_EQ(store.Put(FullImage(2, 30, 40)), 2u);
-  ASSERT_EQ(store.Put(DeltaImage(3, 2, 31, 40)), 3u);
-
   auto repo = OpenRepo();
   const uint64_t committed = repo->PutImage(FullImage(1, 10, 20));
   ASSERT_NE(committed, 0u) << repo->error();
 
-  // One epoch: a full image plus the materialized next generation of it,
-  // staged together. The shared "b" payload is appended once, by the first.
+  // One epoch: an image plus the next generation of it, staged together.
+  // The shared "b" payload is appended once, by the first.
   auto batch = repo->BeginBatch();
-  const uint64_t t_full = batch->Stage(FullImage(2, 30, 40));
-  const uint64_t t_delta = batch->Stage(store.Materialize(3));
+  const uint64_t t_first = batch->Stage(FullImage(2, 30, 40));
+  const uint64_t t_next = batch->Stage(FullImage(3, 31, 40));
   EXPECT_EQ(batch->staged_count(), 2u);
   const auto result = repo->CommitBatch(std::move(batch));
   ASSERT_TRUE(result.ok) << result.error;
   EXPECT_EQ(result.images, 2u);
   EXPECT_EQ(result.appended_payload_bytes, 3 * PayloadOf(0).size());
   ASSERT_EQ(result.handles.size(), 2u);
-  const uint64_t h_full = result.handles[t_full - 1];
-  const uint64_t h_delta = result.handles[t_delta - 1];
-  ASSERT_NE(h_full, 0u);
-  ASSERT_NE(h_delta, 0u);
+  const uint64_t h_first = result.handles[t_first - 1];
+  const uint64_t h_next = result.handles[t_next - 1];
+  ASSERT_NE(h_first, 0u);
+  ASSERT_NE(h_next, 0u);
 
   EXPECT_EQ(repo->live_image_count(), 3u);
-  EXPECT_EQ(repo->Materialize(h_full), store.Materialize(2));
-  EXPECT_EQ(repo->Materialize(h_delta), store.Materialize(3));
+  EXPECT_EQ(repo->Materialize(h_first), FullImage(2, 30, 40));
+  EXPECT_EQ(repo->Materialize(h_next), FullImage(3, 31, 40));
 
   // The epoch survives a restart exactly as committed.
   repo.reset();
   repo = OpenRepo();
   EXPECT_EQ(repo->live_image_count(), 3u);
-  EXPECT_EQ(repo->Materialize(h_delta), store.Materialize(3));
+  EXPECT_EQ(repo->Materialize(h_next), FullImage(3, 31, 40));
 
   // An empty batch is a no-op commit.
   const auto empty = repo->CommitBatch(repo->BeginBatch());
@@ -684,16 +649,17 @@ TEST_F(RepoTest, BatchRejectionIsAllOrNothing) {
   const uint64_t h1 = repo->PutImage(FullImage(1, 10, 20));
   ASSERT_NE(h1, 0u) << repo->error();
 
-  // Two good images around a delta image (its parent is even committed):
+  // Two good images around one that names a parent (even a committed one):
   // the whole epoch must be refused.
+  std::vector<uint8_t> with_parent = FullImage(3, 11, 20);
+  with_parent[16] = 1;  // parent id field, after magic, version and image id
   auto batch = repo->BeginBatch();
   batch->Stage(FullImage(2, 30, 40));
-  batch->Stage(DeltaImage(3, 1, 11, 20));
+  batch->Stage(std::move(with_parent));
   batch->Stage(FullImage(4, 50, 60));
   const auto result = repo->CommitBatch(std::move(batch));
   EXPECT_FALSE(result.ok);
-  EXPECT_NE(result.error.find("delta image"), std::string::npos)
-      << result.error;
+  EXPECT_NE(result.error.find("parent"), std::string::npos) << result.error;
   EXPECT_EQ(result.handles, (std::vector<uint64_t>{0, 0, 0}));
   EXPECT_EQ(repo->live_image_count(), 1u);
 
@@ -778,8 +744,6 @@ TEST_F(RepoTest, ConcurrentStagersProduceByteIdenticalRepository) {
 }
 
 TEST_F(RepoTest, FailedCommitLeavesRepositoryOpenableAtPreviousEpoch) {
-  ImageStore oracle;
-  ASSERT_EQ(oracle.Put(FullImage(1, 10, 20)), 1u);
   uint64_t h1 = 0;
   {
     auto repo = OpenRepo();
@@ -806,14 +770,14 @@ TEST_F(RepoTest, FailedCommitLeavesRepositoryOpenableAtPreviousEpoch) {
   auto retry = repo->BeginBatch();
   retry->Stage(FullImage(3, 50, 60));
   EXPECT_FALSE(repo->CommitBatch(std::move(retry)).ok);
-  EXPECT_EQ(repo->Materialize(h1), oracle.Materialize(1));
+  EXPECT_EQ(repo->Materialize(h1), FullImage(1, 10, 20));
   repo.reset();
 
   // A fresh process opens the previous epoch, whole and writable.
   auto reopened = OpenRepo();
   ASSERT_NE(reopened, nullptr);
   EXPECT_EQ(reopened->live_image_count(), 1u);
-  EXPECT_EQ(reopened->Materialize(h1), oracle.Materialize(1));
+  EXPECT_EQ(reopened->Materialize(h1), FullImage(1, 10, 20));
   EXPECT_NE(reopened->PutImage(FullImage(2, 30, 40)), 0u)
       << reopened->error();
 }
@@ -1095,10 +1059,7 @@ TEST_F(RepoTest, FsyncModeSurvivesFullLifecycleAndReopen) {
     auto repo = CheckpointRepo::Open(dir_, opts, &error);
     ASSERT_NE(repo, nullptr) << error;
     EXPECT_TRUE(repo->IsLive(h2));
-    ImageStore oracle;
-    ASSERT_EQ(oracle.Put(FullImage(1, 10, 20)), 1u);
-    ASSERT_EQ(oracle.Put(DeltaImage(2, 1, 11, 20)), 2u);
-    EXPECT_EQ(repo->Materialize(h2), oracle.Materialize(2)) << repo->error();
+    EXPECT_EQ(repo->Materialize(h2), FullImage(2, 11, 20)) << repo->error();
   }
 }
 

@@ -372,6 +372,8 @@ TEST(TraceTest, TimeShiftDetected) {
   const TraceDiff diff = a.Compare(b);
   EXPECT_TRUE(diff.comparable);
   EXPECT_EQ(diff.max_time_delta, 700 * kMicrosecond);
+  EXPECT_EQ(diff.first_value_mismatch.index, 0u);
+  EXPECT_NE(diff.Describe(), "comparable");
 }
 
 TEST(TraceTest, DifferentShapesNotComparable) {
@@ -392,6 +394,31 @@ TEST(TraceTest, ComparableDiffReportsNoMismatch) {
   ASSERT_TRUE(diff.comparable);
   EXPECT_EQ(diff.first_mismatch, TraceDiff::kNoMismatch);
   EXPECT_EQ(diff.Describe(), "comparable");
+}
+
+TEST(TraceTest, ValueOnlyDifferenceIsNamed) {
+  // Same tags, same times; one value differs. The traces are comparable in
+  // shape but not identical, and Describe() must say where and by what.
+  TraceLog a;
+  TraceLog b;
+  for (int i = 0; i < 5; ++i) {
+    a.Record(i * kMillisecond, "rx", i);
+    b.Record(i * kMillisecond, "rx", i == 3 ? 42 : i);
+  }
+  const TraceDiff diff = a.Compare(b);
+  ASSERT_TRUE(diff.comparable);
+  EXPECT_EQ(diff.max_time_delta, 0);
+  EXPECT_EQ(diff.max_value_delta, 39.0);
+  const TraceDiff::RecordMismatch& m = diff.first_value_mismatch;
+  EXPECT_EQ(m.index, 3u);
+  EXPECT_EQ(m.tag, "rx");
+  EXPECT_EQ(m.time_a, 3 * kMillisecond);
+  EXPECT_EQ(m.time_b, 3 * kMillisecond);
+  EXPECT_EQ(m.value_a, 3.0);
+  EXPECT_EQ(m.value_b, 42.0);
+  EXPECT_EQ(diff.Describe(),
+            "same shape, but record 3 'rx' differs: value 3 vs 42, virtual "
+            "time 3000000 vs 3000000 ns");
 }
 
 TEST(TraceTest, TagDivergencePinpointsFirstMismatch) {

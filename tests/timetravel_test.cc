@@ -3,10 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
+#include <string>
 
 #include "src/sim/image.h"
-#include "src/sim/image_store.h"
 #include "src/timetravel/basic_run.h"
 #include "src/timetravel/distributed_run.h"
 #include "src/timetravel/checkpoint_tree.h"
@@ -125,74 +126,68 @@ TEST(ImageRestoreTest, RestoredDigestMatchesRecordedOnCpuWorkload) {
   }
 }
 
-// Runs the same deterministic workload twice — once emitting full images,
-// once emitting a delta chain — captures at the same instants, and verifies
-// that every materialized delta image restores to exactly the state digest
-// the full image restores to. Raw (unmaterialized) delta images must be
-// rejected by the restore path, never half-applied.
+// The held-capture oracle for chunk reuse. A capture copies an unchanged
+// component's chunk from the previous image on the strength of its version
+// counter alone, so a counter that misses a mutation would publish stale
+// bytes. Each capture is held frozen at its saved instant and every component
+// is serialized afresh there; after the resume (where two-phase capture
+// commits), each fresh SaveState must equal the component's chunk in
+// last_image().
 template <typename RunT>
-void VerifyDeltaChainMatchesFullRestores() {
-  typename RunT::Params full_params;
-  full_params.delta_images = false;
-  typename RunT::Params delta_params;
-  delta_params.delta_images = true;
-  delta_params.retain_image_chain = true;
+void ExpectHeldCapturesMatchFreshSaveState() {
+  for (const bool async_capture : {false, true}) {
+    SCOPED_TRACE(async_capture ? "async capture" : "sync capture");
+    typename RunT::Params params;
+    params.async_capture = async_capture;
+    RunT run(params);
+    std::vector<Checkpointable*> components;
+    run.node().AppendCheckpointables(&components);
+    components.push_back(&run);  // the workload rides in the image too
 
-  RunT full(full_params);
-  RunT delta(delta_params);
+    size_t skips = 0;
+    for (int k = 0; k < 6; ++k) {
+      run.AdvanceTo(run.Now() + 700 * kMillisecond);
+      std::map<std::string, std::vector<uint8_t>> fresh;
+      bool held = false;
+      run.engine().CheckpointAtLocal(
+          run.node().clock().LocalNow() + kMillisecond,
+          [&](const LocalCheckpointRecord&) {
+            for (const Checkpointable* c : components) {
+              ArchiveWriter w;
+              c->SaveState(&w);
+              fresh[c->checkpoint_id()] = w.Take();
+            }
+            held = true;
+          });
+      const SimTime deadline = run.Now() + 60 * kSecond;
+      while (!held && run.Now() < deadline) {
+        run.AdvanceTo(run.Now() + 10 * kMillisecond);
+      }
+      ASSERT_TRUE(held) << "capture " << k;
+      run.engine().ResumeNow();
 
-  struct Recorded {
-    CheckpointCapture full_cap;
-    CheckpointCapture delta_cap;
-    uint64_t image_id = 0;
-  };
-  std::vector<Recorded> caps;
-  for (int k = 1; k <= 4; ++k) {
-    full.AdvanceTo(k * 2 * kSecond);
-    delta.AdvanceTo(k * 2 * kSecond);
-    Recorded rec;
-    rec.full_cap = full.CaptureCheckpoint();
-    rec.delta_cap = delta.CaptureCheckpoint();
-    rec.image_id = delta.engine().last_image_id();
-    // Identical workloads checkpointed at identical instants: the recorded
-    // post-resume digests must agree regardless of the image format.
-    ASSERT_EQ(rec.full_cap.digest, rec.delta_cap.digest) << "capture " << k;
-    caps.push_back(std::move(rec));
-  }
-  // The chain actually deltified: later captures reference their parents.
-  EXPECT_GT(delta.engine().last_capture_stats().delta_chunks, 0u);
-
-  ImageStore& store = delta.engine().image_store();
-  for (size_t k = 0; k < caps.size(); ++k) {
-    const std::vector<uint8_t> materialized = store.Materialize(caps[k].image_id);
-    ASSERT_FALSE(materialized.empty()) << "capture " << k;
-
-    RunT from_full(full_params);
-    std::optional<uint64_t> df = from_full.RestoreFromImage(*caps[k].full_cap.image);
-    RunT from_delta(delta_params);
-    std::optional<uint64_t> dd = from_delta.RestoreFromImage(materialized);
-    ASSERT_TRUE(df.has_value()) << "capture " << k;
-    ASSERT_TRUE(dd.has_value()) << "capture " << k;
-    EXPECT_EQ(*df, caps[k].full_cap.digest) << "capture " << k;
-    EXPECT_EQ(*dd, caps[k].full_cap.digest) << "capture " << k;
-
-    const std::vector<uint8_t>& raw = store.RawBytes(caps[k].image_id);
-    CheckpointImageView raw_view(raw);
-    ASSERT_TRUE(raw_view.ok()) << raw_view.error();
-    if (raw_view.is_delta()) {
-      RunT reject(delta_params);
-      EXPECT_FALSE(reject.RestoreFromImage(raw).has_value())
-          << "raw delta image " << caps[k].image_id << " must be rejected";
+      const CheckpointImageView view(*run.engine().last_image());
+      ASSERT_TRUE(view.ok()) << view.error();
+      for (const auto& [id, bytes] : fresh) {
+        ASSERT_TRUE(view.HasChunk(id)) << "capture " << k << ", " << id;
+        EXPECT_EQ(view.Chunk(id), bytes) << "capture " << k << ", " << id;
+      }
+      const CaptureStats& stats = run.engine().last_capture_stats();
+      EXPECT_EQ(stats.version_skips, stats.reused_chunks);
+      EXPECT_EQ(stats.payload_chunks + stats.reused_chunks, components.size() + 1);
+      skips += stats.version_skips;
     }
+    // The oracle saw reuse, not just fresh serialization.
+    EXPECT_GT(skips, 0u);
   }
 }
 
-TEST(DeltaChainRestoreTest, BasicRunDeltaChainRestoresDigestIdentical) {
-  VerifyDeltaChainMatchesFullRestores<BasicExperimentRun>();
+TEST(ReusedChunkTest, BasicRunHeldCapturesMatchFreshSaveState) {
+  ExpectHeldCapturesMatchFreshSaveState<BasicExperimentRun>();
 }
 
-TEST(DeltaChainRestoreTest, CpuRunDeltaChainRestoresDigestIdentical) {
-  VerifyDeltaChainMatchesFullRestores<CpuExperimentRun>();
+TEST(ReusedChunkTest, CpuRunHeldCapturesMatchFreshSaveState) {
+  ExpectHeldCapturesMatchFreshSaveState<CpuExperimentRun>();
 }
 
 TEST(ImageRestoreTest, ImageReplayContinuesLikeTheOriginalFuture) {
@@ -251,57 +246,6 @@ TEST(ImageRestoreTest, CorruptImageIsRejectedWithoutTouchingTheRun) {
   // The untouched fresh run still works.
   fresh.AdvanceTo(kSecond);
   EXPECT_GT(fresh.counter(), 0u);
-}
-
-// Pruning mid-chain must not break later captures: the survivor anchors the
-// chain (its resolved content is what new delta refs pin), every retained
-// capture stays materializable, and each materialization restores to the
-// digest recorded when it was taken.
-TEST(ImageStorePruneTest, PruneMidChainKeepsLaterCapturesRestorable) {
-  BasicExperimentRun::Params params;
-  params.seed = 51;
-  params.retain_image_chain = true;
-  BasicExperimentRun run(params);
-
-  struct Recorded {
-    uint64_t image_id = 0;
-    uint64_t digest = 0;
-  };
-  std::vector<Recorded> caps;
-  auto capture = [&] {
-    run.AdvanceTo(run.Now() + kSecond);
-    const CheckpointCapture cap = run.CaptureCheckpoint();
-    caps.push_back({run.engine().last_image_id(), cap.digest});
-  };
-
-  for (int k = 0; k < 3; ++k) {
-    capture();
-  }
-  ImageStore& store = run.engine().image_store();
-  const uint64_t anchor = caps.back().image_id;
-  store.PruneExcept(anchor);
-  for (const Recorded& cap : caps) {
-    EXPECT_EQ(store.Has(cap.image_id), cap.image_id == anchor);
-  }
-  // Captures continue against the pruned store: deltas still resolve
-  // because the anchor carries the chain's resolved content.
-  for (int k = 0; k < 3; ++k) {
-    capture();
-  }
-  EXPECT_GT(run.engine().last_capture_stats().delta_chunks, 0u);
-
-  for (const Recorded& cap : caps) {
-    if (!store.Has(cap.image_id)) {
-      EXPECT_TRUE(store.Materialize(cap.image_id).empty());
-      continue;
-    }
-    const std::vector<uint8_t> image = store.Materialize(cap.image_id);
-    ASSERT_FALSE(image.empty()) << "image " << cap.image_id;
-    BasicExperimentRun fresh(params);
-    const std::optional<uint64_t> digest = fresh.RestoreFromImage(image);
-    ASSERT_TRUE(digest.has_value()) << "image " << cap.image_id;
-    EXPECT_EQ(*digest, cap.digest) << "image " << cap.image_id;
-  }
 }
 
 TEST(RestoreTimeTest, RestoreTimeScalesWithImageSize) {
@@ -366,12 +310,11 @@ TEST(DistributedTimeTravelTest, PerturbedReplayExploresDifferentExecutions) {
 // The engine's async path snapshots components into staging buffers while
 // frozen and serializes in the background; the contract is that nothing
 // observable changes: identical capture instants, byte-identical images,
-// identical delta decisions and digests.
+// identical reuse decisions and digests.
 
 template <typename Run>
 void ExpectAsyncCaptureMatchesSync() {
   typename Run::Params params;
-  params.retain_image_chain = true;  // keep delta chains materializable
   params.async_capture = false;
   Run sync_run(params);
   params.async_capture = true;
@@ -390,9 +333,9 @@ void ExpectAsyncCaptureMatchesSync() {
     const CaptureStats& a = async_run.engine().last_capture_stats();
     EXPECT_EQ(s.serialized_bytes, a.serialized_bytes);
     EXPECT_EQ(s.payload_chunks, a.payload_chunks);
-    EXPECT_EQ(s.delta_chunks, a.delta_chunks);
+    EXPECT_EQ(s.reused_chunks, a.reused_chunks);
     EXPECT_EQ(s.version_skips, a.version_skips);
-    EXPECT_EQ(s.crc_fallbacks, a.crc_fallbacks);
+    EXPECT_EQ(s.fresh_bytes, a.fresh_bytes);
     sync_run.AdvanceTo(sync_run.Now() + 700 * kMillisecond);
     async_run.AdvanceTo(async_run.Now() + 700 * kMillisecond);
   }
@@ -413,7 +356,6 @@ TEST(AsyncCaptureTest, StagingBuffersDoNotLeakStaleBytesAcrossRestore) {
   // checks the benign path — the recycled buffer's old contents must not
   // surface in the first post-restore capture.
   BasicExperimentRun::Params params;
-  params.retain_image_chain = true;
   BasicExperimentRun run(params);
   run.AdvanceTo(1 * kSecond);
   const CheckpointCapture c1 = run.CaptureCheckpoint();
@@ -422,15 +364,15 @@ TEST(AsyncCaptureTest, StagingBuffersDoNotLeakStaleBytesAcrossRestore) {
   ASSERT_NE(c1.image, nullptr);
   ASSERT_NE(c2.image, nullptr);
 
-  // Roll back to c1 (pool generation bumps, delta tracks void), then capture
-  // again straight away with the recycled buffer.
+  // Roll back to c1 (pool generation bumps, version tracking void), then
+  // capture again straight away with the recycled buffer.
   const std::optional<uint64_t> restored = run.RestoreFromImage(*c1.image);
   ASSERT_TRUE(restored.has_value());
   EXPECT_EQ(*restored, c1.digest);
   const CheckpointCapture c3 = run.CaptureCheckpoint();
   ASSERT_NE(c3.image, nullptr);
-  // First post-restore capture restarts the delta chain: self-contained.
-  EXPECT_EQ(run.engine().last_capture_stats().delta_chunks, 0u);
+  // The first post-restore capture serializes every component fresh.
+  EXPECT_EQ(run.engine().last_capture_stats().reused_chunks, 0u);
 
   // The recycled-buffer capture must restore to exactly the state it named.
   BasicExperimentRun fresh(params);
